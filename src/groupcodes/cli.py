@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (for `iso`: isomorphic), 1 `iso` found no
 isomorphism or `selftest` failed, 2 malformed input, 3 a search hit its
-resource cap (a partial report is still emitted). Reports go to stdout,
-diagnostics and timings to stderr, so stdout is a pure function of the
-input file and flags.
+resource cap (a partial report is still emitted), 4 internal error (a
+structure theorem checked at run time failed: a bug in the program, never
+bad input). Reports go to stdout, diagnostics and timings to stderr, so
+stdout is a pure function of the input file and flags.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -310,8 +312,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except GroupCodesError as err:
+    except TheoremViolationError as err:
         print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except GroupCodesError as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
 
 

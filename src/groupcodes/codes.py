@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ClosureError, IncompatibleError, InvalidWordError, PreconditionError
+from .errors import (ClosureError, IncompatibleError, InvalidWordError, PreconditionError,
+                     TheoremViolationError)
 from .groups import FiniteGroup
 
 Word = tuple[int, ...]
@@ -278,14 +279,15 @@ def _exact_log(size: int, q: int) -> int | None:
 
 
 def parameters(C: Code) -> ParameterReport:
-    """Compute the parameter report; the Singleton inequality is asserted."""
+    """Compute the parameter report; the Singleton inequality is checked."""
     q, n = C.alphabet.order, C.length
     size = C.size
     d = min_distance(C)
     exact = _exact_log(size, q)
     dim = float(exact) if exact is not None else math.log(size, q)
     e = (d - 1) // 2
-    assert size <= q ** (n - d + 1), "Singleton bound violated; metric code is corrupt"
+    if size > q ** (n - d + 1):
+        raise TheoremViolationError("Singleton bound violated; metric code is corrupt")
     return ParameterReport(length=n, alphabet_size=q, size=size, dimension=dim,
                            dimension_exact=exact, min_distance=d, correction_capacity=e)
 

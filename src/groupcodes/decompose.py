@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import constant_weight_group, is_degenerate, is_mds, is_perfect, is_trivial
 from .codes import Code, GroupCode, direct_sum_all, projection
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from .isometry import Configuration, Equivalence, Isometry, apply_to_code
 from .isomorphy import DEFAULT_MAX_NODES, code_equivalent, gc_isomorphic
 
@@ -248,7 +248,8 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     witness = Isometry(Configuration((ident,) * C.length), Equivalence(perm))
     rebuilt = apply_to_code(witness, C)
     target = direct_sum_all(list(components))
-    assert rebuilt.words == target.words, "witness does not reassemble the direct sum"
+    if rebuilt.words != target.words:
+        raise TheoremViolationError("decomposition witness does not reassemble the direct sum")
     return Decomposition(partition=partition, components=components,
                          isotypes=isotypes,
                          isotype_members=tuple(tuple(m) for m in members),

@@ -108,6 +108,18 @@ class Isometry:
         """Extensional form: images of all q^n words in lexicographic order."""
         return tuple(self.apply(w) for w in itertools.product(range(q), repeat=self.n))
 
+    @classmethod
+    def _build(cls, maps: tuple[tuple[int, ...], ...], perm: tuple[int, ...]) -> "Isometry":
+        # internal fast path: maps and perm are permutations by construction,
+        # so the validating __post_init__ of all three classes is skipped
+        config = object.__new__(Configuration)
+        config.__dict__["maps"] = maps
+        equiv = object.__new__(Equivalence)
+        equiv.__dict__["perm"] = perm
+        iso = object.__new__(cls)
+        iso.__dict__.update(config=config, equiv=equiv)
+        return iso
+
 
 def identity_isometry(q: int, n: int) -> Isometry:
     ident = tuple(range(q))
@@ -146,13 +158,12 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
     if a.n != b.n:
         raise IncompatibleError(f"composing isometries of degree {a.n} and {b.n}")
     sigma, tau = a.equiv.perm, b.equiv.perm
-    perm = tuple(tau[sigma[j]] for j in range(a.n))
-    maps = []
-    for j in range(a.n):
-        g = b.config.maps[sigma[j]]
-        f = a.config.maps[j]
-        maps.append(tuple(f[g[s]] for s in range(len(g))))
-    return Isometry(Configuration(tuple(maps)), Equivalence(perm))
+    amaps, bmaps = a.config.maps, b.config.maps
+    if list(map(len, amaps)) != [len(bmaps[i]) for i in sigma]:
+        raise IncompatibleError("composing isometries over different alphabets")
+    perm = tuple([tau[i] for i in sigma])
+    maps = tuple([tuple([f[s] for s in bmaps[i]]) for f, i in zip(amaps, sigma)])
+    return Isometry._build(maps, perm)
 
 
 def inverse(iso: Isometry) -> Isometry:

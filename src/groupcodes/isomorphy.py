@@ -13,6 +13,7 @@ is exactly what the automorphism counting has to honor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import FiniteGroup
-from .isometry import Configuration, Equivalence, Isometry, compose, identity_isometry
+from .isometry import Isometry, compose, identity_isometry
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
     from .decompose import Decomposition
@@ -170,18 +171,27 @@ def _subgroup_isomorphisms(G: FiniteGroup, H: tuple[int, ...], K: tuple[int, ...
 
 
 def _all_bijections(H: tuple[int, ...], K: tuple[int, ...]) -> list[dict[int, int]]:
-    import itertools
     if len(H) != len(K):
         return []
     return [dict(zip(H, img)) for img in sorted(itertools.permutations(K))]
 
 
+def _complement(values: tuple[int, ...], q: int) -> tuple[int, ...]:
+    present = set(values)
+    return tuple(x for x in range(q) if x not in present)
+
+
 class _IsoSearch:
-    """Coordinate-interleaved backtracking over (σ, f) normal forms."""
+    """Coordinate-interleaved backtracking over (σ, f) normal forms.
+
+    A probe's image prefix of length k is held as the mixed-radix integer
+    sum_t y_t q^(k-1-t), so a child's image is ``img * q + f[c]`` and the
+    prefix tests against D are integer set lookups.
+    """
 
     def __init__(self, C: Code, D: Code, *, group_mode: bool,
                  max_nodes: int = DEFAULT_MAX_NODES) -> None:
-        self.C, self.D = C, D
+        self.C = C
         self.G = C.alphabet
         self.q = self.G.order
         self.n = C.length
@@ -190,23 +200,43 @@ class _IsoSearch:
         self.nodes = 0
         self.proj_in = [tuple(sorted({w[i] for w in C.words})) for i in range(self.n)]
         self.proj_out = [tuple(sorted({w[j] for w in D.words})) for j in range(self.n)]
+        self.comp_in = [_complement(h, self.q) for h in self.proj_in]
+        self.comp_out = [_complement(h, self.q) for h in self.proj_out]
         if group_mode:
-            self.probes = list(code_generating_words(C))  # images must land in D
+            probes = code_generating_words(C)  # images must land in D
         else:
-            self.probes = list(C.words)
-        # output-prefix data of D, per depth
-        self.prefix_sets = [frozenset(w[:k] for w in D.words) for k in range(self.n + 1)]
-        self.prefix_counts = [Counter(w[:k] for w in D.words) for k in range(self.n + 1)]
-        self._map_cache: dict[tuple[int, int], list[dict[int, int]]] = {}
+            probes = C.words
+        # the probes' symbols at input coordinate i
+        self.probe_columns = [tuple(p[i] for p in probes) for i in range(self.n)]
+        self.probe_count = len(probes)
+        # output-prefix data of D, per depth, as mixed-radix integers
+        prefixes = [0] * D.size
+        prefix_ints = [prefixes]
+        for j in range(self.n):
+            prefixes = [x * self.q + w[j] for x, w in zip(prefixes, D.words)]
+            prefix_ints.append(prefixes)
+        if group_mode:
+            self.prefix_sets = [frozenset(xs) for xs in prefix_ints]
+        else:
+            self.prefix_counts = [Counter(xs) for xs in prefix_ints]
+        self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
+        self._extension_cache: dict[tuple, list[tuple[int, ...]]] = {}
 
-    def _candidate_maps(self, i: int, j: int) -> list[dict[int, int]]:
+    def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
+        """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
         key = (i, j)
         if key not in self._map_cache:
             if self.group_mode:
                 maps = _subgroup_isomorphisms(self.G, self.proj_in[i], self.proj_out[j])
             else:
                 maps = _all_bijections(self.proj_in[i], self.proj_out[j])
-            self._map_cache[key] = maps
+            pairs = []
+            for fmap in maps:
+                table = [-1] * self.q
+                for a, b in fmap.items():
+                    table[a] = b
+                pairs.append((fmap, table))
+            self._map_cache[key] = pairs
         return self._map_cache[key]
 
     def run(self, *, find_all: bool) -> list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]]:
@@ -215,43 +245,49 @@ class _IsoSearch:
         leaves: list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = []
         sigma: list[int] = []
         restr: list[dict[int, int]] = []
-        used = [False] * self.n
-        images: list[tuple[Word, ...]] = [tuple(() for _ in self.probes)]
+        n, q = self.n, self.q
+        used = [False] * n
+        columns = self.probe_columns
+        in_sizes = [len(h) for h in self.proj_in]
+        out_sizes = [len(h) for h in self.proj_out]
+        group_mode = self.group_mode
 
-        def rec(j: int) -> bool:
+        def rec(j: int, current: list[int]) -> bool:
             self.nodes += 1
             if self.nodes > self.max_nodes:
                 raise ResourceLimitError(
                     f"isomorphism search exceeded {self.max_nodes} nodes",
                     partial_generators=tuple(leaves))
-            if j == self.n:
-                current = images[-1]
-                if self.group_mode:
-                    ok = all(img in self.D.word_set for img in current)
+            if j == n:
+                if group_mode:
+                    words = self.prefix_sets[n]
+                    ok = all(img in words for img in current)
                 else:
-                    ok = set(current) == self.D.word_set and len(set(current)) == self.C.size
+                    distinct = set(current)
+                    ok = distinct == self.prefix_counts[n].keys() and len(distinct) == self.C.size
                 if ok:
-                    leaves.append((tuple(sigma), tuple(dict(r) for r in restr)))
+                    leaves.append((tuple(sigma), tuple(restr)))
                     return not find_all
                 return False
-            for i in range(self.n):
-                if used[i] or len(self.proj_in[i]) != len(self.proj_out[j]):
+            if group_mode:
+                ps = self.prefix_sets[j + 1]
+            else:
+                counts = self.prefix_counts[j + 1]
+            for i in range(n):
+                if used[i] or in_sizes[i] != out_sizes[j]:
                     continue
-                for fmap in self._candidate_maps(i, j):
-                    nxt = tuple(img + (fmap[p[i]],) for img, p in zip(images[-1], self.probes))
-                    if self.group_mode:
-                        ps = self.prefix_sets[j + 1]
-                        if any(img not in ps for img in nxt):
+                column = columns[i]
+                for fmap, table in self._candidate_maps(i, j):
+                    nxt = [img * q + table[c] for img, c in zip(current, column)]
+                    if group_mode:
+                        if not ps.issuperset(nxt):
                             continue
-                    else:
-                        if Counter(nxt) != self.prefix_counts[j + 1]:
-                            continue
+                    elif Counter(nxt) != counts:
+                        continue
                     used[i] = True
                     sigma.append(i)
                     restr.append(fmap)
-                    images.append(nxt)
-                    done = rec(j + 1)
-                    images.pop()
+                    done = rec(j + 1, nxt)
                     restr.pop()
                     sigma.pop()
                     used[i] = False
@@ -259,59 +295,50 @@ class _IsoSearch:
                         return True
             return False
 
-        rec(0)
+        rec(0, [0] * self.probe_count)
         return leaves
 
     # leaf expansion -------------------------------------------------
 
-    def _complement(self, values: tuple[int, ...]) -> tuple[int, ...]:
-        present = set(values)
-        return tuple(x for x in range(self.q) if x not in present)
+    def _extension(self, i: int, restriction: dict[int, int],
+                   image: tuple[int, ...]) -> tuple[int, ...]:
+        """The bijective extension of a restriction pi_i(C) -> pi_j(D) that
+        maps the sorted complement of pi_i(C) onto ``image``."""
+        f = [0] * self.q
+        for a, b in restriction.items():
+            f[a] = b
+        for a, b in zip(self.comp_in[i], image):
+            f[a] = b
+        return tuple(f)
+
+    def _extensions(self, i: int, j: int, restriction: dict[int, int]) -> list[tuple[int, ...]]:
+        """Every bijective extension of a restriction pi_i(C) -> pi_j(D) to
+        the whole alphabet, sorted; cached, since leaves share restrictions."""
+        key = (i, j, tuple(restriction.items()))
+        if key not in self._extension_cache:
+            # permutations of the sorted complement come in lexicographic order
+            self._extension_cache[key] = [self._extension(i, restriction, image)
+                                          for image in itertools.permutations(self.comp_out[j])]
+        return self._extension_cache[key]
 
     def witness_from_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> Isometry:
         """Canonical extension: complements map onto each other in sorted order."""
         sigma, restr = leaf
-        maps = []
-        for j in range(self.n):
-            f = [0] * self.q
-            for a, b in restr[j].items():
-                f[a] = b
-            dom = self._complement(self.proj_in[sigma[j]])
-            rng = self._complement(self.proj_out[j])
-            for a, b in zip(dom, rng):
-                f[a] = b
-            maps.append(tuple(f))
-        return Isometry(Configuration(tuple(maps)), Equivalence(sigma))
+        maps = tuple(self._extension(sigma[j], restr[j], self.comp_out[j]) for j in range(self.n))
+        return Isometry._build(maps, sigma)
 
     def extension_count(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> int:
         sigma, _ = leaf
         count = 1
         for j in range(self.n):
-            count *= math.factorial(self.q - len(self.proj_in[sigma[j]]))
+            count *= math.factorial(len(self.comp_in[sigma[j]]))
         return count
 
     def expand_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> list[Isometry]:
         """All ambient isometries over one leaf: every bijective extension."""
-        import itertools
         sigma, restr = leaf
-        per_coord: list[list[tuple[int, ...]]] = []
-        for j in range(self.n):
-            base = [0] * self.q
-            for a, b in restr[j].items():
-                base[a] = b
-            dom = self._complement(self.proj_in[sigma[j]])
-            rng = self._complement(self.proj_out[j])
-            variants = []
-            for img in sorted(itertools.permutations(rng)):
-                f = list(base)
-                for a, b in zip(dom, img):
-                    f[a] = b
-                variants.append(tuple(f))
-            per_coord.append(variants)
-        out = []
-        for combo in itertools.product(*per_coord):
-            out.append(Isometry(Configuration(combo), Equivalence(sigma)))
-        return out
+        per_coord = [self._extensions(sigma[j], j, restr[j]) for j in range(self.n)]
+        return [Isometry._build(combo, sigma) for combo in itertools.product(*per_coord)]
 
 
 def _weight_distribution(C: GroupCode) -> Counter:
@@ -343,7 +370,8 @@ def gc_isomorphic(C: GroupCode, D: GroupCode, *, max_nodes: int = DEFAULT_MAX_NO
     if not leaves:
         return None
     witness = GroupCodeIso(search.witness_from_leaf(leaves[0]), C, D)
-    assert witness.verify(), "search produced an invalid witness"
+    if not witness.verify():
+        raise TheoremViolationError("search produced an invalid isomorphism witness")
     return witness
 
 
@@ -383,7 +411,10 @@ class AutGroupReport:
 
 
 def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
-    """Close a set of isometries under composition (finite, so a group)."""
+    """Close a set of isometries under composition (finite, so a group).
+
+    Restarts from the generators; the test oracle for ``_CosetClosure``.
+    """
     if not gens:
         return set()
     closed: set[Isometry] = set(gens)
@@ -400,17 +431,54 @@ def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Iso
     return closed
 
 
+class _CosetClosure:
+    """The subgroup generated so far, grown coset by coset (Dimino's algorithm).
+
+    Elements are told apart by ``key`` (the isometry itself by default; a
+    signature to work in a quotient), each kept as one representative. A
+    generator outside the current subgroup H extends it by the right cosets
+    H·t, where t = r·s runs over coset representatives r times generators s,
+    so every new element is composed exactly once.
+    """
+
+    def __init__(self, identity: Isometry, key=None) -> None:
+        self.key = key if key is not None else (lambda iso: iso)
+        self.identity = identity
+        self.gens: list[Isometry] = []
+        self.elements = [identity]
+        self.keys = {self.key(identity)}
+
+    def __contains__(self, iso: Isometry) -> bool:
+        return self.key(iso) in self.keys
+
+    def add(self, g: Isometry) -> None:
+        """Append g to the generators and close; g must lie outside."""
+        key, keys, elements = self.key, self.keys, self.elements
+        self.gens.append(g)
+        subgroup = list(elements)
+        reps = [self.identity]
+        for r in reps:
+            for s in self.gens:
+                t = compose(r, s)
+                if key(t) in keys:
+                    continue
+                reps.append(t)
+                for h in subgroup:
+                    x = compose(h, t)
+                    keys.add(key(x))
+                    elements.append(x)
+
+
 def _greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
-    n = elements[0].n if elements else 0
-    q = len(elements[0].config.maps[0]) if elements else 1
-    gens: list[Isometry] = []
-    closed: set[Isometry] = {identity_isometry(q, n)} if elements else set()
+    """Greedy generators over a sorted element list: take each element not
+    generated by the ones taken before it."""
+    if not elements:
+        return ()
+    closure = _CosetClosure(identity_isometry(len(elements[0].config.maps[0]), elements[0].n))
     for el in elements:
-        if el in closed:
-            continue
-        gens.append(el)
-        closed = _mul_closure(gens) | {identity_isometry(q, n)}
-    return tuple(gens)
+        if el not in closure:
+            closure.add(el)
+    return tuple(closure.gens)
 
 
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
@@ -490,32 +558,15 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
             tuple(iso.config.maps[j][a] for a in search.proj_in[sigma[j]])
             for j in range(n)))
 
-    def signature_closure(gens: list[Isometry]) -> set:
-        start = identity_isometry(q, n)
-        closed = {signature(start)}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = compose(x, g)
-                s = signature(y)
-                if s not in closed:
-                    closed.add(s)
-                    frontier.append(y)
-        return closed
-
-    quotient_gens: list[Isometry] = []
-    seen = signature_closure(quotient_gens)
+    quotient = _CosetClosure(identity_isometry(q, n), signature)
     for leaf in leaves:
         w = search.witness_from_leaf(leaf)
-        if signature(w) in seen:
-            continue
-        quotient_gens.append(w)
-        seen = signature_closure(quotient_gens)
+        if w not in quotient:
+            quotient.add(w)
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):
-        comp = tuple(x for x in range(q) if x not in set(search.proj_in[j]))
+        comp = search.comp_in[j]
         if len(comp) >= 2:
             for cycle in _symmetric_generators(comp):
                 maps = [ident] * n
@@ -523,9 +574,8 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
                 for a, b in cycle.items():
                     f[a] = b
                 maps[j] = tuple(f)
-                normal_gens.append(
-                    Isometry(Configuration(tuple(maps)), Equivalence(tuple(range(n)))))
-    return tuple(quotient_gens + normal_gens)
+                normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
+    return tuple(quotient.gens + normal_gens)
 
 
 def _symmetric_generators(points: tuple[int, ...]) -> list[dict[int, int]]:

@@ -165,6 +165,27 @@ def test_iso_alphabet_mismatch_is_input_error(files, tmp_path, capsys):
     assert main(["iso", files["d"], str(p)]) == 2
 
 
+def test_theorem_violation_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    from groupcodes.cli import EXIT_INTERNAL
+    from groupcodes.isomorphy import GroupCodeIso
+    gens = {"d_rep": [[1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
+            "rep_d": [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 1]]}
+    paths = []
+    for name, rows in gens.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 6,
+                                 "generators": rows, "group": True}))
+        paths.append(str(p))
+    assert main(["iso", *paths]) == 0
+    capsys.readouterr()
+    # a witness the search accepted but the re-check rejects is a program bug
+    monkeypatch.setattr(GroupCodeIso, "verify", lambda self, pair_check=None: False)
+    code = main(["iso", *paths])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4
+    assert captured.out == "" and "internal error" in captured.err
+
+
 def test_aut_command(files, capsys):
     code, doc = run_json(capsys, ["aut", files["d"], "--with-structure"])
     assert code == 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupcodes as gc
-from groupcodes.errors import IncompatibleError, ResourceLimitError
+from groupcodes.errors import IncompatibleError, PreconditionError, ResourceLimitError
 
 # the worked interleaving table rows, frozen: push of sigma=(1,3,5,2,4,6)
 PUSH_TABLE_ROWS = {
@@ -114,6 +114,42 @@ def test_compose_associative_sampled():
     for _ in range(10):
         a, b, c = (random_isometry(rng, 3, 3) for _ in range(3))
         assert gc.compose(gc.compose(a, b), c) == gc.compose(a, gc.compose(b, c))
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([(2, 3), (3, 2), (4, 3), (5, 1)]))
+def test_compose_equals_validated_construction(rnd, shape):
+    # compose builds through the trusted fast path; the same isometry built
+    # through the validating constructors must be equal and hash alike
+    q, n = shape
+    a, b = random_isometry(rnd, q, n), random_isometry(rnd, q, n)
+    c = gc.compose(a, b)
+    sigma, tau = a.equiv.perm, b.equiv.perm
+    maps = tuple(tuple(a.config.maps[j][s] for s in b.config.maps[sigma[j]]) for j in range(n))
+    validated = gc.Isometry(gc.Configuration(maps),
+                            gc.Equivalence(tuple(tau[sigma[j]] for j in range(n))))
+    assert c == validated and hash(c) == hash(validated)
+    assert c.config == validated.config and c.equiv == validated.equiv
+    assert {validated: "found"}[c] == "found"
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(PreconditionError):
+        gc.Equivalence((0, 0, 2))
+    with pytest.raises(PreconditionError):
+        gc.Equivalence((1, 2))
+    with pytest.raises(PreconditionError):
+        gc.Configuration(((0, 1), (1, 1)))
+    with pytest.raises(PreconditionError):
+        gc.from_permutation((1, 1, 0), 2)
+    with pytest.raises(IncompatibleError):
+        gc.Isometry(gc.Configuration(((0, 1),)), gc.Equivalence((0, 1)))
+
+
+def test_compose_rejects_mixed_alphabets():
+    with pytest.raises(IncompatibleError):
+        gc.compose(gc.identity_isometry(2, 2), gc.identity_isometry(3, 2))
+    with pytest.raises(IncompatibleError):
+        gc.compose(gc.identity_isometry(2, 2), gc.identity_isometry(2, 3))
 
 
 def test_conjugation_relabels_configuration():

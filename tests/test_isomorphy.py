@@ -7,11 +7,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes.catalog import repetition_code
 from groupcodes.errors import IncompatibleError, ResourceLimitError
-from groupcodes.isomorphy import _mul_closure
+from groupcodes.isomorphy import (_greedy_generators, _IsoSearch, _large_order_generators,
+                                  _mul_closure, _symmetric_generators)
 
 
 def brute_force_gc_automorphism_count(C: gc.GroupCode) -> int:
@@ -265,3 +267,196 @@ def test_code_equivalent_plain(z2):
     assert iso is not None
     assert {iso.apply(w) for w in pair.words} == flipped.word_set
     assert gc.code_equivalent(pair, gc.Code.from_words(z2, 2, [(0, 0), (0, 1), (1, 0)])) is None
+
+
+# differential tests of the fast paths against from-scratch oracles ---------
+
+ALPHABETS = (gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4), gc.klein_four_group())
+# longest length per alphabet whose isometry group (q!)^n n! stays enumerable
+MAX_LENGTH = {2: 4, 3: 3, 4: 2}
+
+
+@st.composite
+def small_spaces(draw):
+    G = draw(st.sampled_from(ALPHABETS))
+    return G, draw(st.integers(1, MAX_LENGTH[G.order]))
+
+
+def words_of(G, n):
+    return st.tuples(*[st.integers(0, G.order - 1)] * n)
+
+
+@st.composite
+def small_group_codes(draw, space=None):
+    G, n = space if space is not None else draw(small_spaces())
+    gens = draw(st.lists(words_of(G, n), max_size=2))
+    return gc.generate_group_code(G, n, gens)
+
+
+@st.composite
+def group_isometries(draw, G, n):
+    """Coordinate permutation plus one group automorphism per coordinate:
+    maps subgroups of G^n onto subgroups."""
+    perm = draw(st.permutations(range(n)))
+    auts = gc.automorphisms(G)
+    maps = tuple(draw(st.sampled_from(auts)).mapping for _ in range(n))
+    return gc.Isometry(gc.Configuration(maps), gc.Equivalence(tuple(perm)))
+
+
+@st.composite
+def isometries(draw, q, n):
+    perm = draw(st.permutations(range(n)))
+    maps = tuple(tuple(draw(st.permutations(range(q)))) for _ in range(n))
+    return gc.Isometry(gc.Configuration(maps), gc.Equivalence(tuple(perm)))
+
+
+def scratch_greedy_generators(elements):
+    """The greedy choice re-closing the whole group after every pick."""
+    ident = gc.identity_isometry(len(elements[0].config.maps[0]), elements[0].n)
+    gens: list = []
+    closed = {ident}
+    for el in elements:
+        if el not in closed:
+            gens.append(el)
+            closed = _mul_closure(gens) | {ident}
+    return tuple(gens)
+
+
+def scratch_large_order_generators(search, leaves):
+    """Quotient greedy re-closing the signature set after every pick."""
+    q, n = search.q, search.n
+
+    def signature(iso):
+        sigma = iso.equiv.perm
+        return (sigma, tuple(tuple(iso.config.maps[j][a] for a in search.proj_in[sigma[j]])
+                             for j in range(n)))
+
+    def signature_closure(gens):
+        start = gc.identity_isometry(q, n)
+        closed, frontier = {signature(start)}, [start]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = gc.compose(x, g)
+                if signature(y) not in closed:
+                    closed.add(signature(y))
+                    frontier.append(y)
+        return closed
+
+    quotient_gens: list = []
+    seen = signature_closure(quotient_gens)
+    for leaf in leaves:
+        w = search.witness_from_leaf(leaf)
+        if signature(w) not in seen:
+            quotient_gens.append(w)
+            seen = signature_closure(quotient_gens)
+    normal_gens = []
+    for j in range(n):
+        comp = tuple(x for x in range(q) if x not in set(search.proj_in[j]))
+        if len(comp) >= 2:
+            for cycle in _symmetric_generators(comp):
+                f = list(range(q))
+                for a, b in cycle.items():
+                    f[a] = b
+                maps = [tuple(range(q))] * n
+                maps[j] = tuple(f)
+                normal_gens.append(gc.Isometry(gc.Configuration(tuple(maps)),
+                                               gc.Equivalence(tuple(range(n)))))
+    return tuple(quotient_gens + normal_gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_group_codes(), st.randoms(use_true_random=False))
+def test_coset_closure_greedy_matches_scratch_greedy(C, rnd):
+    report = gc.aut_group(C)
+    elements = list(report.elements)
+    assert tuple(g.iso for g in report.generators) == scratch_greedy_generators(elements)
+    rnd.shuffle(elements)  # any element order, not only the sorted one
+    assert _greedy_generators(elements) == scratch_greedy_generators(elements)
+
+
+def z4_half_sum(z4, halves, reps, scramble_seed=None):
+    """Direct sum of copies of {00, 22} and of the Z/4 repetition code of
+    length 2, optionally scrambled by a coordinate permutation and
+    automorphisms of Z/4."""
+    half = gc.GroupCode.from_words(z4, 2, [(0, 0), (2, 2)])
+    total = gc.direct_sum_all([half] * halves + [repetition_code(z4, 2)] * reps)
+    if scramble_seed is None:
+        return total
+    rng = random.Random(scramble_seed)
+    perm = list(range(total.length))
+    rng.shuffle(perm)
+    auts = gc.automorphisms(z4)
+    maps = tuple(rng.choice(auts).mapping for _ in perm)
+    iso = gc.Isometry(gc.Configuration(maps), gc.Equivalence(tuple(perm)))
+    return gc.GroupCode.from_words(z4, total.length, gc.apply_to_code(iso, total).words)
+
+
+@pytest.mark.parametrize("halves,reps,seed,closes", [
+    (2, 0, None, True), (3, 0, None, True), (3, 0, 5, True), (1, 2, None, True),
+    (2, 1, 7, True), (4, 0, None, False), (4, 0, 3, False)])
+def test_large_order_generators_match_scratch_quotient_greedy(z4, halves, reps, seed, closes):
+    C = z4_half_sum(z4, halves, reps, seed)
+    search = _IsoSearch(C, C, group_mode=True)
+    leaves = search.run(find_all=True)
+    order = sum(search.extension_count(leaf) for leaf in leaves)
+    gens = _large_order_generators(search, leaves)
+    assert gens == scratch_large_order_generators(search, leaves)
+    report = gc.aut_group(C, explicit_cap=1)  # force the generators-only path
+    assert report.elements is None and report.order == order
+    assert tuple(g.iso for g in report.generators) == gens
+    if closes:  # small enough for the from-scratch closure
+        assert len(_mul_closure(gens, cap=order)) == order
+
+
+def brute_equivalent(C, D):
+    return any({iso.apply(w) for w in C.words} == D.word_set
+               for iso in gc.enumerate_isometries(C.alphabet.order, C.length))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_group_search_matches_isometry_enumeration(data):
+    # exercises the prefix_sets branch of the search
+    G, n = data.draw(small_spaces())
+    C = data.draw(small_group_codes((G, n)))
+    assert gc.aut_group(C).order == brute_force_gc_automorphism_count(C)
+    if data.draw(st.booleans()):
+        phi = data.draw(group_isometries(G, n))
+        D = gc.GroupCode.from_words(G, n, gc.apply_to_code(phi, C).words)
+    else:
+        D = data.draw(small_group_codes((G, n)))
+    witness = gc.gc_isomorphic(C, D)
+    assert (witness is not None) == brute_iso_exists(C, D)
+    if witness is not None:
+        assert witness.verify(pair_check=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_plain_search_matches_isometry_enumeration(data):
+    # exercises the prefix_counts branch of the search
+    G, n = data.draw(small_spaces())
+    space = sorted(gc.all_words(G.order, n))
+    words = data.draw(st.lists(st.sampled_from(space), min_size=1, max_size=8, unique=True))
+    C = gc.Code.from_words(G, n, words)
+    if data.draw(st.booleans()):
+        D = gc.apply_to_code(data.draw(isometries(G.order, n)), C)
+    else:
+        others = data.draw(st.lists(st.sampled_from(space), min_size=len(words),
+                                    max_size=len(words), unique=True))
+        D = gc.Code.from_words(G, n, others)
+    iso = gc.code_equivalent(C, D)
+    assert (iso is not None) == brute_equivalent(C, D)
+    if iso is not None:
+        assert {iso.apply(w) for w in C.words} == D.word_set
+
+
+def test_canonical_witness_is_first_extension(z4):
+    # the witness maps complements in sorted order: the least of a leaf's extensions
+    search = _IsoSearch(*[z4_half_sum(z4, 1, 1, 7)] * 2, group_mode=True)
+    for leaf in search.run(find_all=True):
+        expanded = search.expand_leaf(leaf)
+        assert len(expanded) == search.extension_count(leaf) == 4
+        assert search.witness_from_leaf(leaf) == expanded[0] == min(
+            expanded, key=lambda iso: iso.config.maps)
