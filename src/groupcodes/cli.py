@@ -11,9 +11,10 @@ stdout is a pure function of the input file and flags.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
-import time
 from typing import Any, Sequence
 
 from .classify import DEFAULT_CENTER_CAP, classify, perfect_by_enumeration
@@ -22,7 +23,9 @@ from .cyclic import cyclic_report, interleave, interleave_permutation, is_cyclic
 from .decompose import (DEFAULT_PARTITION_BITS, applicable_certificates, decompose)
 from .errors import (GroupCodesError, IncompatibleError, PreconditionError,
                      ResourceLimitError, SchemaError, TheoremViolationError)
+from .isometry import Equivalence
 from .isomorphy import DEFAULT_MAX_NODES, aut_group, code_equivalent, gc_isomorphic
+from .phases import Phases
 from . import serialize
 from .selftest import run_selftest
 
@@ -92,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and
+    # every call gets a fresh Namespace
+    return build_parser()
+
+
 def _load_code(path: str) -> Code:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -108,25 +118,6 @@ def _emit(doc: Any, fmt: str, text_renderer=None) -> None:
         sys.stdout.write(serialize.dumps(doc))
     else:
         sys.stdout.write(text_renderer(doc))
-
-
-class _Phases:
-    """Timing collector; reports land on stderr only."""
-
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self.rows: list[tuple[str, float]] = []
-
-    def run(self, name: str, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        self.rows.append((name, time.perf_counter() - t0))
-        return out
-
-    def report(self) -> None:
-        if self.enabled:
-            for name, dt in self.rows:
-                print(f"timing {name}: {dt:.4f}s", file=sys.stderr)
 
 
 def _analysis_text(doc: dict) -> str:
@@ -150,30 +141,30 @@ def _analysis_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
-    phases = _Phases(args.timings)
+def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("load"):
+        code = _load_code(args.input)
     limits: list[str] = []
 
     report: dict[str, Any] = {"code": serialize.code_to_json(code)}
-    report["parameters"] = phases.run(
-        "parameters", lambda: serialize.parameters_to_json(parameters(code)))
-    report["classification"] = phases.run(
-        "classification",
-        lambda: serialize.classification_to_json(classify(code, center_cap=args.center_cap)))
-    report["certificates"] = phases.run(
-        "certificates", lambda: list(applicable_certificates(code)))
+    with phases("parameters"):
+        report["parameters"] = serialize.parameters_to_json(parameters(code))
+    with phases("classification"):
+        report["classification"] = serialize.classification_to_json(
+            classify(code, center_cap=args.center_cap))
+    with phases("certificates"):
+        report["certificates"] = list(applicable_certificates(code))
     try:
-        dec = phases.run("decomposition", lambda: decompose(
-            code, max_bits=args.max_partition_bits, max_nodes=args.max_search))
+        with phases("decomposition"):
+            dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
         report["decomposition"] = serialize.decomposition_to_json(dec)
     except ResourceLimitError as err:
         print(f"decomposition skipped: {err}", file=sys.stderr)
         report["decomposition"] = None
         limits.append("decomposition")
     try:
-        cyc = phases.run("cyclic", lambda: cyclic_report(
-            code, max_bits=args.max_partition_bits, max_nodes=args.max_search))
+        with phases("cyclic"):
+            cyc = cyclic_report(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
         report["cyclic"] = serialize.cyclic_report_to_json(cyc)
     except ResourceLimitError as err:
         print(f"cyclic analysis skipped: {err}", file=sys.stderr)
@@ -190,98 +181,112 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             oracle["weight_scan_agrees"] = min_distance(code) == min_weight_nonidentity(code)
         report["oracle"] = oracle
     report["resource_limits"] = limits
-    _emit(report, args.format, _analysis_text)
-    phases.report()
+    with phases("report"):
+        _emit(report, args.format, _analysis_text)
     return EXIT_RESOURCE if limits else EXIT_OK
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
+def cmd_decompose(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("load"):
+        code = _load_code(args.input)
     try:
-        dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
+        with phases("compute"):
+            dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
     except ResourceLimitError as err:
         print(f"decomposition aborted: {err}", file=sys.stderr)
-        _emit({"decomposition": None, "certificate": err.certificate}, args.format)
+        with phases("report"):
+            _emit({"decomposition": None, "certificate": err.certificate}, args.format)
         return EXIT_RESOURCE
-    _emit(serialize.decomposition_to_json(dec), args.format)
+    with phases("report"):
+        _emit(serialize.decomposition_to_json(dec), args.format)
     return EXIT_OK
 
 
-def cmd_aut(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
+def cmd_aut(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("load"):
+        code = _load_code(args.input)
     if not isinstance(code, GroupCode):
         raise SchemaError("automorphism groups are computed for group codes; set \"group\": true")
     dec = None
     if args.with_structure:
-        dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
+        with phases("decompose"):
+            dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
     try:
-        report = aut_group(code, dec, max_nodes=args.max_search)
+        report = aut_group(code, dec, max_nodes=args.max_search, phases=phases)
     except ResourceLimitError as err:
         print(f"automorphism search aborted: {err}", file=sys.stderr)
         partial = {"order": None, "complete": False,
                    "generators": [serialize.gc_witness_to_json(g)
                                   for g in err.partial_generators]}
-        _emit(partial, args.format)
+        with phases("report"):
+            _emit(partial, args.format)
         return EXIT_RESOURCE
-    _emit(serialize.aut_report_to_json(report), args.format)
+    with phases("report"):
+        _emit(serialize.aut_report_to_json(report), args.format)
     return EXIT_OK
 
 
-def cmd_iso(args: argparse.Namespace) -> int:
-    A = _load_code(args.input_a)
-    B = _load_code(args.input_b)
+def cmd_iso(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("load"):
+        A = _load_code(args.input_a)
+        B = _load_code(args.input_b)
     try:
-        if isinstance(A, GroupCode) and isinstance(B, GroupCode):
-            witness = gc_isomorphic(A, B, max_nodes=args.max_search)
-            doc = serialize.gc_witness_to_json(witness) if witness else None
-        else:
-            iso = code_equivalent(A, B, max_nodes=args.max_search)
-            doc = serialize.isometry_to_json(iso) if iso else None
+        with phases("compute"):
+            if isinstance(A, GroupCode) and isinstance(B, GroupCode):
+                witness = gc_isomorphic(A, B, max_nodes=args.max_search)
+                doc = serialize.gc_witness_to_json(witness) if witness else None
+            else:
+                iso = code_equivalent(A, B, max_nodes=args.max_search)
+                doc = serialize.isometry_to_json(iso) if iso else None
     except IncompatibleError as err:
         raise SchemaError(str(err)) from err
-    if doc is None:
-        _emit({"isomorphic": False, "witness": None}, args.format)
-        return EXIT_NEGATIVE
-    _emit({"isomorphic": True, "witness": doc}, args.format)
-    return EXIT_OK
+    with phases("report"):
+        _emit({"isomorphic": doc is not None, "witness": doc}, args.format)
+    return EXIT_OK if doc is not None else EXIT_NEGATIVE
 
 
-def cmd_interleave(args: argparse.Namespace) -> int:
-    code = _load_code(args.input)
+def cmd_interleave(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("load"):
+        code = _load_code(args.input)
     if not isinstance(code, GroupCode):
         raise SchemaError("interleave expects a cyclic group code; set \"group\": true")
-    out = interleave(code, args.copies)
-    sigma = interleave_permutation(code.length, args.copies)
-    from .isometry import Equivalence
-    equiv = Equivalence(tuple(s - 1 for s in sigma))
-    rows = []
-    import itertools as _it
-    for combo in _it.product(code.words, repeat=args.copies):
-        src = sum(combo, ())
-        rows.append({"from": list(src), "to": list(equiv.push(src))})
-    doc = {"sigma": list(sigma), "convention": "push", "copies": args.copies,
-           "source": serialize.code_to_json(code),
-           "result": serialize.code_to_json(out),
-           "rows": rows,
-           "is_cyclic": is_cyclic(out)}
-    _emit(doc, args.format)
+    with phases("compute"):
+        out = interleave(code, args.copies)
+        sigma = interleave_permutation(code.length, args.copies)
+        equiv = Equivalence(tuple(s - 1 for s in sigma))
+        rows = []
+        for combo in itertools.product(code.words, repeat=args.copies):
+            src = sum(combo, ())
+            rows.append({"from": list(src), "to": list(equiv.push(src))})
+        cyclic = is_cyclic(out)
+    with phases("report"):
+        doc = {"sigma": list(sigma), "convention": "push", "copies": args.copies,
+               "source": serialize.code_to_json(code),
+               "result": serialize.code_to_json(out),
+               "rows": rows,
+               "is_cyclic": cyclic}
+        _emit(doc, args.format)
     return EXIT_OK
 
 
-def cmd_join(args: argparse.Namespace) -> int:
+def cmd_join(args: argparse.Namespace, phases: Phases) -> int:
     codes = []
-    for path in args.inputs:
-        code = _load_code(path)
-        if not isinstance(code, GroupCode):
-            raise SchemaError(f"{path}: join expects cyclic group codes")
-        codes.append(code)
-    out = join(codes)
-    _emit({"result": serialize.code_to_json(out)}, args.format)
+    with phases("load"):
+        for path in args.inputs:
+            code = _load_code(path)
+            if not isinstance(code, GroupCode):
+                raise SchemaError(f"{path}: join expects cyclic group codes")
+            codes.append(code)
+    with phases("compute"):
+        out = join(codes)
+    with phases("report"):
+        _emit({"result": serialize.code_to_json(out)}, args.format)
     return EXIT_OK
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
-    ok = run_selftest(seed=args.seed, trials=args.trials, oracle=args.oracle)
+def cmd_selftest(args: argparse.Namespace, phases: Phases) -> int:
+    with phases("compute"):
+        ok = run_selftest(seed=args.seed, trials=args.trials, oracle=args.oracle)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -297,12 +302,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be positive", file=sys.stderr)
         return EXIT_PARSE
+    phases = Phases()
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, phases)
     except SchemaError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -318,6 +324,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GroupCodesError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if args.timings:
+            phases.report(sys.stderr)
 
 
 if __name__ == "__main__":

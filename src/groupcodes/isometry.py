@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Word, hamming_distance
@@ -164,6 +165,49 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
     perm = tuple([tau[i] for i in sigma])
     maps = tuple([tuple([f[s] for s in bmaps[i]]) for f, i in zip(amaps, sigma)])
     return Isometry._build(maps, perm)
+
+
+# point form ---------------------------------------------------------------
+#
+# An isometry of A^n, |A| = q, permutes the q·n points (coordinate, symbol),
+# point (i, s) numbered i·q + s: f∘σ̄ sends (σ(j), s) to (j, f_j(s)), so it
+# carries the point set {(i, x_i)} of a word x onto that of its image. Hence
+# compose(a, b) has the point form P_a∘P_b, one tuple index.
+
+def to_points(iso: Isometry) -> tuple[int, ...]:
+    """The point form of an isometry: entry i·q + s is the image of (i, s)."""
+    maps, perm = iso.config.maps, iso.equiv.perm
+    q = len(maps[0]) if maps else 0
+    if any(len(f) != q for f in maps):
+        raise IncompatibleError("the point form needs one alphabet on every coordinate")
+    points = [0] * (q * len(perm))
+    for j, (i, f) in enumerate(zip(perm, maps)):
+        points[i * q:(i + 1) * q] = [j * q + t for t in f]
+    return tuple(points)
+
+
+def from_points(points: Sequence[int], q: int) -> Isometry:
+    """The isometry of a point form over a q-letter alphabet; validated."""
+    if q < 1 or len(points) % q:
+        raise PreconditionError(f"{len(points)} points are not q·n points for q = {q}")
+    blocks = [tuple(points[i * q:(i + 1) * q]) for i in range(len(points) // q)]
+    # σ^{-1}: the output coordinate each input coordinate's points land on
+    inv = Equivalence(tuple(block[0] // q for block in blocks))
+    for block, j in zip(blocks, inv.perm):
+        if any(p // q != j for p in block):
+            raise PreconditionError(f"the points {block} do not land on one coordinate")
+    equiv = inv.inverse()
+    maps = tuple(tuple(p - j * q for p in blocks[i]) for j, i in enumerate(equiv.perm))
+    return Isometry(Configuration(maps), equiv)
+
+
+def compose_points(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The point form of compose(A, B), given those of A and B: P_a∘P_b."""
+    if len(a) != len(b):
+        raise IncompatibleError(f"composing point forms on {len(a)} and {len(b)} points")
+    if len(b) < 2:  # itemgetter needs an index, and returns a lone item bare
+        return tuple([a[p] for p in b])
+    return itemgetter(*b)(a)
 
 
 def inverse(iso: Isometry) -> Isometry:

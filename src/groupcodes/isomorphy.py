@@ -17,6 +17,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
@@ -24,7 +25,9 @@ from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import FiniteGroup
-from .isometry import Isometry, compose, identity_isometry
+from .isometry import (Isometry, compose, compose_points, from_points, identity_isometry,
+                       to_points)
+from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
     from .decompose import Decomposition
@@ -220,7 +223,7 @@ class _IsoSearch:
         else:
             self.prefix_counts = [Counter(xs) for xs in prefix_ints]
         self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
-        self._extension_cache: dict[tuple, list[tuple[int, ...]]] = {}
+        self._extension_cache: dict[tuple[int, int, int], tuple] = {}
 
     def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
         """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
@@ -311,15 +314,22 @@ class _IsoSearch:
             f[a] = b
         return tuple(f)
 
-    def _extensions(self, i: int, j: int, restriction: dict[int, int]) -> list[tuple[int, ...]]:
-        """Every bijective extension of a restriction pi_i(C) -> pi_j(D) to
-        the whole alphabet, sorted; cached, since leaves share restrictions."""
-        key = (i, j, tuple(restriction.items()))
-        if key not in self._extension_cache:
+    def _extensions(self, i: int, j: int, restriction: dict[int, int]
+                    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Every bijective extension f of a restriction pi_i(C) -> pi_j(D) to
+        the whole alphabet, sorted, and for each the images (j, f(s)) of the
+        points (i, s); cached, since leaves share restrictions."""
+        # the entry holds the restriction itself, so its id stays unique
+        key = (i, j, id(restriction))
+        entry = self._extension_cache.get(key)
+        if entry is None:
+            base = j * self.q
             # permutations of the sorted complement come in lexicographic order
-            self._extension_cache[key] = [self._extension(i, restriction, image)
-                                          for image in itertools.permutations(self.comp_out[j])]
-        return self._extension_cache[key]
+            fs = [self._extension(i, restriction, image)
+                  for image in itertools.permutations(self.comp_out[j])]
+            entry = self._extension_cache[key] = (
+                restriction, fs, [tuple([base + t for t in f]) for f in fs])
+        return entry[1], entry[2]
 
     def witness_from_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> Isometry:
         """Canonical extension: complements map onto each other in sorted order."""
@@ -328,17 +338,27 @@ class _IsoSearch:
         return Isometry._build(maps, sigma)
 
     def extension_count(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> int:
-        sigma, _ = leaf
-        count = 1
-        for j in range(self.n):
-            count *= math.factorial(len(self.comp_in[sigma[j]]))
-        return count
+        """Bijective extensions over a leaf: prod_i |complement of pi_i(C)|!,
+        the same for every leaf since σ permutes the input coordinates."""
+        return math.prod(math.factorial(len(comp)) for comp in self.comp_in)
+
+    def leaf_points(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]
+                    ) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+        """All ambient isometries over one leaf, every bijective extension,
+        as (maps, point form) with the maps in lexicographic order."""
+        sigma, restr = leaf
+        per_coord = [self._extensions(sigma[j], j, restr[j]) for j in range(self.n)]
+        inv = [0] * self.n
+        for j, i in enumerate(sigma):
+            inv[i] = j
+        chain = itertools.chain.from_iterable
+        maps = itertools.product(*[fs for fs, _ in per_coord])
+        blocks = itertools.product(*[bs for _, bs in per_coord])
+        return [(m, tuple(chain([b[j] for j in inv]))) for m, b in zip(maps, blocks)]
 
     def expand_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> list[Isometry]:
         """All ambient isometries over one leaf: every bijective extension."""
-        sigma, restr = leaf
-        per_coord = [self._extensions(sigma[j], j, restr[j]) for j in range(self.n)]
-        return [Isometry._build(combo, sigma) for combo in itertools.product(*per_coord)]
+        return [Isometry._build(maps, leaf[0]) for maps, _ in self.leaf_points(leaf)]
 
 
 def _weight_distribution(C: GroupCode) -> Counter:
@@ -434,63 +454,80 @@ def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Iso
 class _CosetClosure:
     """The subgroup generated so far, grown coset by coset (Dimino's algorithm).
 
-    Elements are told apart by ``key`` (the isometry itself by default; a
-    signature to work in a quotient), each kept as one representative. A
-    generator outside the current subgroup H extends it by the right cosets
-    H·t, where t = r·s runs over coset representatives r times generators s,
-    so every new element is composed exactly once.
+    Elements are point forms (see ``isometry.to_points``), told apart by
+    ``key`` (the point form itself by default; a signature to work in a
+    quotient), each kept as one representative. A generator outside the
+    current subgroup H extends it by the right cosets H·t, where t = r·s
+    runs over coset representatives r times generators s, so every new
+    element is composed exactly once.
     """
 
-    def __init__(self, identity: Isometry, key=None) -> None:
-        self.key = key if key is not None else (lambda iso: iso)
-        self.identity = identity
-        self.gens: list[Isometry] = []
-        self.elements = [identity]
-        self.keys = {self.key(identity)}
+    def __init__(self, degree: int, key=None) -> None:
+        self.key = key
+        self.identity = tuple(range(degree))
+        self.gens: list[tuple[int, ...]] = []
+        self.elements = [self.identity]
+        self.keys = {self.identity if key is None else key(self.identity)}
 
-    def __contains__(self, iso: Isometry) -> bool:
-        return self.key(iso) in self.keys
+    def __contains__(self, points: tuple[int, ...]) -> bool:
+        return (points if self.key is None else self.key(points)) in self.keys
 
-    def add(self, g: Isometry) -> None:
+    def add(self, g: tuple[int, ...]) -> None:
         """Append g to the generators and close; g must lie outside."""
         key, keys, elements = self.key, self.keys, self.elements
         self.gens.append(g)
-        subgroup = list(elements)
+        subgroup = elements[:]
         reps = [self.identity]
         for r in reps:
             for s in self.gens:
-                t = compose(r, s)
-                if key(t) in keys:
+                t = compose_points(r, s)
+                if t in self:
                     continue
                 reps.append(t)
-                for h in subgroup:
-                    x = compose(h, t)
-                    keys.add(key(x))
-                    elements.append(x)
+                # h -> h∘t for every h in H; the getter returns tuples, as a
+                # group on one point has no element outside H
+                coset = list(map(itemgetter(*t), subgroup))
+                elements.extend(coset)
+                keys.update(coset if key is None else map(key, coset))
+
+
+def _greedy_picks(points: Sequence[tuple[int, ...]]) -> list[int]:
+    """Greedy generators over the point forms of all elements of a group:
+    the index of each element not generated by the ones taken before it."""
+    closure = _CosetClosure(len(points[0]))
+    picks: list[int] = []
+    for k, p in enumerate(points):
+        if len(closure.elements) == len(points):
+            break
+        if p not in closure:
+            closure.add(p)
+            picks.append(k)
+    return picks
 
 
 def _greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
-    """Greedy generators over a sorted element list: take each element not
-    generated by the ones taken before it."""
+    """Greedy generators over the elements of a group, in the given order:
+    take each element not generated by the ones taken before it."""
     if not elements:
         return ()
-    closure = _CosetClosure(identity_isometry(len(elements[0].config.maps[0]), elements[0].n))
-    for el in elements:
-        if el not in closure:
-            closure.add(el)
-    return tuple(closure.gens)
+    return tuple(elements[k] for k in _greedy_picks([to_points(el) for el in elements]))
 
 
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
               max_nodes: int = DEFAULT_MAX_NODES,
-              explicit_cap: int = DEFAULT_EXPLICIT_CAP) -> AutGroupReport:
+              explicit_cap: int = DEFAULT_EXPLICIT_CAP,
+              phases: Phases | None = None) -> AutGroupReport:
     """All group-code automorphisms of C, with exact order.
 
     Counts ambient isometries: every bijective extension of the
     per-coordinate maps off the coordinate projections is its own
     automorphism. With a decomposition supplied, the predicted order
     prod |Aut(D_j)|^alpha_j * alpha_j! is asserted against the computed one.
+    ``phases`` receives the wall time of the search, the element list, the
+    generator choice and the structure check.
     """
+    if phases is None:
+        phases = Phases()
     q, n = C.alphabet.order, C.length
     if q == 1:
         ident = identity_isometry(1, n)
@@ -498,45 +535,50 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
                               elements=(ident,), structure=None)
     search = _IsoSearch(C, C, group_mode=True, max_nodes=max_nodes)
     try:
-        leaves = search.run(find_all=True)
+        with phases("search"):
+            leaves = search.run(find_all=True)
     except ResourceLimitError as err:
         witnesses = tuple(
             GroupCodeIso(search.witness_from_leaf(leaf), C, C)
             for leaf in err.partial_generators)
         raise ResourceLimitError(
             str(err), partial_generators=witnesses, incomplete=True) from None
-    order = sum(search.extension_count(leaf) for leaf in leaves)
+    order = len(leaves) * search.extension_count(leaves[0])  # the identity is a leaf
 
     elements: tuple[Isometry, ...] | None
     if order <= explicit_cap:
-        flat: list[Isometry] = []
-        for leaf in leaves:
-            flat.extend(search.expand_leaf(leaf))
-        flat.sort(key=lambda iso: (iso.equiv.perm, iso.config.maps))
-        elements = tuple(flat)
-        gen_isos = _greedy_generators(flat)
+        with phases("elements"):
+            # sorted by (σ, maps); the point forms ride along for the closure
+            expanded = [(leaf[0], maps, points)
+                        for leaf in leaves for maps, points in search.leaf_points(leaf)]
+            expanded.sort()
+            elements = tuple(Isometry._build(maps, sigma) for sigma, maps, _ in expanded)
+        with phases("generators"):
+            gen_isos = tuple(elements[k] for k in _greedy_picks([p for _, _, p in expanded]))
     else:
         elements = None
-        gen_isos = _large_order_generators(search, leaves)
+        with phases("generators"):
+            gen_isos = _large_order_generators(search, leaves)
     generators = tuple(GroupCodeIso(g, C, C) for g in gen_isos)
 
     structure: tuple[tuple[int, int, int], ...] | None = None
     if decomposition is not None:
-        rows = []
-        predicted = 1
-        for idx, (rep_idx, alpha) in enumerate(decomposition.isotypes):
-            comp = decomposition.components[rep_idx]
-            if not isinstance(comp, GroupCode):
-                raise PreconditionError("structure prediction needs group-code components")
-            comp_order = aut_group(comp, max_nodes=max_nodes,
-                                   explicit_cap=explicit_cap).order
-            rows.append((idx, comp_order, alpha))
-            predicted *= comp_order**alpha * math.factorial(alpha)
-        if predicted != order:
-            raise TheoremViolationError(
-                f"automorphism order {order} does not match the structure "
-                f"prediction {predicted}; decomposition or search is buggy")
-        structure = tuple(rows)
+        with phases("structure"):
+            rows = []
+            predicted = 1
+            for idx, (rep_idx, alpha) in enumerate(decomposition.isotypes):
+                comp = decomposition.components[rep_idx]
+                if not isinstance(comp, GroupCode):
+                    raise PreconditionError("structure prediction needs group-code components")
+                comp_order = aut_group(comp, max_nodes=max_nodes,
+                                       explicit_cap=explicit_cap).order
+                rows.append((idx, comp_order, alpha))
+                predicted *= comp_order**alpha * math.factorial(alpha)
+            if predicted != order:
+                raise TheoremViolationError(
+                    f"automorphism order {order} does not match the structure "
+                    f"prediction {predicted}; decomposition or search is buggy")
+            structure = tuple(rows)
     return AutGroupReport(order=order, generators=generators,
                           elements=elements, structure=structure)
 
@@ -551,18 +593,23 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
     factor generate the whole group.
     """
     q, n = search.q, search.n
-
-    def signature(iso: Isometry):
-        sigma = iso.equiv.perm
-        return (sigma, tuple(
-            tuple(iso.config.maps[j][a] for a in search.proj_in[sigma[j]])
-            for j in range(n)))
-
-    quotient = _CosetClosure(identity_isometry(q, n), signature)
+    # A coset of N is fixed by σ and the restrictions, that is by the
+    # images of the points (i, a) with a in pi_i(C).
+    domains = [(i, search.proj_in[i]) for i in range(n)]
+    pick = itemgetter(*[i * q + a for i, dom in domains for a in dom])
+    signature = pick if sum(len(dom) for _, dom in domains) > 1 else (lambda p: (pick(p),))
+    quotient = _CosetClosure(q * n, signature)
+    inv = [0] * n
     for leaf in leaves:
-        w = search.witness_from_leaf(leaf)
-        if w not in quotient:
-            quotient.add(w)
+        # every leaf is one coset, so a full quotient takes no more picks
+        if len(quotient.elements) == len(leaves):
+            break
+        sigma, restr = leaf
+        for j, i in enumerate(sigma):
+            inv[i] = j
+        key = tuple([inv[i] * q + restr[inv[i]][a] for i, dom in domains for a in dom])
+        if key not in quotient.keys:
+            quotient.add(to_points(search.witness_from_leaf(leaf)))
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):
@@ -575,7 +622,7 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
                     f[a] = b
                 maps[j] = tuple(f)
                 normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
-    return tuple(quotient.gens + normal_gens)
+    return tuple([from_points(g, q) for g in quotient.gens] + normal_gens)
 
 
 def _symmetric_generators(points: tuple[int, ...]) -> list[dict[int, int]]:

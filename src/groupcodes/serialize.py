@@ -9,7 +9,8 @@ cyclic/product alphabet shorthands and push-convention witnesses.
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .classify import Classification
@@ -23,7 +24,79 @@ from .isomorphy import AutGroupReport, GroupCodeIso
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """The document as JSON, byte-identical to ``json.dumps(obj, indent=2) + "\\n"``.
+
+    With an indent, ``json.dumps`` runs its pure-Python encoder; this writer
+    is a smaller recursive one that renders each all-int list once per
+    document, since automorphism reports repeat the same permutations and
+    alphabet maps many times. The memo lives for one call only. Dictionary
+    keys must be strings.
+    """
+    out: list[str] = []
+    _write(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, nl: str, out: list[str], memo: dict[tuple[str, str], str]) -> None:
+    """Append the JSON text of ``obj``, whose own line starts after ``nl``."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if type(obj[0]) is int:
+            # repr tells 1 from True and 1.0, so a hit is an all-int list
+            key = (nl, repr(obj))
+            text = memo.get(key)
+            if text is None and all(type(x) is int for x in obj):
+                text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+            if text is not None:
+                out.append(text)
+                return
+        sep, comma = "[" + inner, "," + inner
+        for x in obj:
+            out.append(sep)
+            _write(x, inner, out, memo)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out, memo)
+            sep = comma
+        out.append(nl + "}")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")
+        elif obj in (math.inf, -math.inf):
+            out.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _is_int(x: Any) -> bool:
+    """An integer from JSON: ``true`` and ``false`` load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # alphabets ----------------------------------------------------------------
@@ -39,7 +112,7 @@ def alphabet_from_json(obj: Any) -> FiniteGroup:
     kind = obj.get("kind")
     if kind == "cyclic":
         modulus = obj.get("modulus")
-        if not isinstance(modulus, int) or modulus < 1:
+        if not _is_int(modulus) or modulus < 1:
             raise SchemaError(f"bad modulus {modulus!r}", "alphabet.modulus")
         return cyclic_group(modulus)
     if kind == "product":
@@ -74,9 +147,11 @@ def code_from_json(obj: Any) -> Code:
         raise SchemaError("code must be an object")
     G = alphabet_from_json(obj.get("alphabet"))
     length = obj.get("length")
-    if not isinstance(length, int) or length < 1:
+    if not _is_int(length) or length < 1:
         raise SchemaError(f"bad length {length!r}", "length")
-    is_group = bool(obj.get("group", False))
+    is_group = obj.get("group", False)
+    if not isinstance(is_group, bool):
+        raise SchemaError(f'"group" must be true or false, not {is_group!r}', "group")
     if "generators" in obj:
         if not is_group:
             raise SchemaError('"generators" requires "group": true', "generators")
@@ -116,7 +191,7 @@ def isometry_from_json(obj: Any) -> Isometry:
     convention = obj.get("convention", "pull")
     if convention not in ("pull", "push"):
         raise SchemaError(f"unknown convention {convention!r}", "convention")
-    if not isinstance(sigma, list) or not all(isinstance(i, int) for i in sigma):
+    if not isinstance(sigma, list) or not all(_is_int(i) for i in sigma):
         raise SchemaError("sigma must be a list of 1-based integers", "sigma")
     if not isinstance(config, list):
         raise SchemaError("config must be a list of alphabet maps", "config")

@@ -243,3 +243,58 @@ def test_emitted_code_json_reparses(files, capsys):
     again = ser.code_from_json(doc["result"])
     assert again.size == 16
     assert ser.code_to_json(again) == doc["result"]
+
+
+def test_parser_built_once_leaks_no_state_between_calls(files, capsys):
+    from groupcodes import cli
+    calls = [["aut", files["d"], "--with-structure"], ["aut", files["d"]],
+             ["analyze", files["z4"], "--format", "text"], ["analyze", files["z4"]],
+             ["interleave", files["d"], "--copies", "2"], ["iso", files["d"], files["rep"]],
+             ["aut", files["d2"], "--timings"], ["interleave", files["rep"], "--copies", "3"],
+             ["decompose", files["d2"], "--format", "text"], ["join", files["rep"], files["rep"]],
+             ["analyze", files["d"], "--max-partition-bits", "2"], ["aut", files["d"]]]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append((main(argv), capsys.readouterr().out))
+    shared = [(main(argv), capsys.readouterr().out) for argv in calls]
+    assert shared == fresh
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("argv,phases", [
+    (["analyze", "z4"], ["load", "parameters", "classification", "certificates",
+                         "decomposition", "cyclic", "report"]),
+    (["decompose", "d2"], ["load", "compute", "report"]),
+    (["aut", "d"], ["load", "search", "elements", "generators", "report"]),
+    (["aut", "d2", "--with-structure"], ["load", "decompose", "search", "elements",
+                                         "generators", "structure", "report"]),
+    (["iso", "d", "rep"], ["load", "compute", "report"]),
+    (["interleave", "d", "--copies", "2"], ["load", "compute", "report"]),
+    (["join", "rep", "d"], ["load", "compute", "report"]),
+    (["selftest", "--trials", "1"], ["compute"]),
+])
+def test_timings_on_every_verb_leave_stdout_alone(files, capsys, argv, phases):
+    argv = [files.get(a, a) for a in argv]
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == code
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert "timing" not in plain.err
+    rows = [line for line in timed.err.splitlines() if line.startswith("timing ")]
+    assert [row.split(":")[0][len("timing "):] for row in rows] == phases
+
+
+@pytest.mark.parametrize("doc", [
+    {"alphabet": {"kind": "cyclic", "modulus": True}, "length": 1, "codewords": [[0]]},
+    {"alphabet": {"kind": "cyclic", "modulus": 2}, "length": True, "codewords": [[0]]},
+    {"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 2, "group": "false",
+     "codewords": [[0, 1], [1, 0]]},
+])
+def test_analyze_rejects_bool_ints_and_non_bool_group(tmp_path, capsys, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["analyze", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupcodes as gc
+from groupcodes import isometry
 from groupcodes.errors import IncompatibleError, PreconditionError, ResourceLimitError
 
 # the worked interleaving table rows, frozen: push of sigma=(1,3,5,2,4,6)
@@ -150,6 +151,40 @@ def test_compose_rejects_mixed_alphabets():
         gc.compose(gc.identity_isometry(2, 2), gc.identity_isometry(3, 2))
     with pytest.raises(IncompatibleError):
         gc.compose(gc.identity_isometry(2, 2), gc.identity_isometry(2, 3))
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 5), st.integers(1, 5))
+def test_point_form_composes_like_compose(rnd, q, n):
+    # P_{a∘b} = P_a∘P_b, and the point form round-trips to the isometry
+    a, b = random_isometry(rnd, q, n), random_isometry(rnd, q, n)
+    pa, pb = isometry.to_points(a), isometry.to_points(b)
+    assert sorted(pa) == list(range(q * n))
+    assert isometry.compose_points(pa, pb) == isometry.to_points(gc.compose(a, b))
+    assert isometry.from_points(pa, q) == a
+    assert isometry.from_points(isometry.compose_points(pa, pb), q) == gc.compose(a, b)
+
+
+@given(st.randoms(use_true_random=False), st.integers(2, 4), st.integers(1, 4))
+def test_point_form_carries_words_to_their_images(rnd, q, n):
+    iso = random_isometry(rnd, q, n)
+    points = isometry.to_points(iso)
+    x = tuple(rnd.randrange(q) for _ in range(n))
+    image = {points[i * q + s] for i, s in enumerate(x)}
+    assert image == {j * q + s for j, s in enumerate(iso.apply(x))}
+
+
+def test_from_points_rejects_non_isometries():
+    with pytest.raises(PreconditionError):
+        isometry.from_points((0, 2, 1, 3), 2)  # coordinate 0 split over two coordinates
+    with pytest.raises(PreconditionError):
+        isometry.from_points((0, 1, 0, 1), 2)  # both coordinates onto one
+    with pytest.raises(PreconditionError):
+        isometry.from_points((0, 1, 2), 2)
+    with pytest.raises(IncompatibleError):
+        isometry.to_points(gc.Isometry(gc.Configuration(((0, 1), (0, 1, 2))),
+                                       gc.Equivalence((0, 1))))
+    with pytest.raises(IncompatibleError):
+        isometry.compose_points((0, 1), (0, 1, 2, 3))
 
 
 def test_conjugation_relabels_configuration():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes import serialize as ser
@@ -129,3 +133,76 @@ def test_cyclic_report_json(code_d):
     assert doc["is_cyclic"] is True
     assert doc["gcd_certificate"] == {"xi": 2, "verdict": "indecomposable"}
     assert doc["component_structure"]["multiplicity"] == 1
+
+
+# the report writer against json.dumps ------------------------------------
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+                | st.floats() | st.text())
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40)
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs)
+def test_dumps_matches_json_module(doc):
+    assert ser.dumps(doc) == reference_dumps(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0, 1, 2, True, False, 0.0, 1.0]), min_size=1,
+                         max_size=3), max_size=8), st.booleans())
+def test_dumps_memo_tells_bools_and_floats_from_ints(rows, ints_first):
+    # each row next to its all-int twin, which compares and hashes equal:
+    # the memo of all-int lists must never hand one's text to the other
+    twins = [[int(x) for x in row] for row in rows]
+    doc = {"a": twins, "b": rows} if ints_first else {"a": rows, "b": twins}
+    assert ser.dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [{}], {"a": []}, "", "naïve ∘ σ̄   \"quoted\"\n",
+    [1, True, 0, False, None], [True, 1], [1, True], [[1, 0], [True, False], [1.0, 0], [1, 0]],
+    [math.log(3, 2), -0.0, 1e300, -2**200, 2**64],
+    [float("nan"), float("inf"), -float("inf")],
+    (1, 2, (3, [4])),
+    {"order": 6, "generators": [{"sigma": [1, 2, 3], "config": [[0, 1]] * 3}] * 2},
+])
+def test_dumps_matches_json_module_on_edge_cases(doc):
+    assert ser.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_rejects_what_json_cannot_write():
+    with pytest.raises(TypeError):
+        ser.dumps({"x": {1, 2}})
+    with pytest.raises(TypeError):
+        ser.dumps({(1, 2): 3})
+
+
+# bools and non-bool flags at the JSON boundary ---------------------------
+
+@pytest.mark.parametrize("doc,field", [
+    ({"alphabet": {"kind": "cyclic", "modulus": True}, "length": 1,
+      "codewords": [[0]]}, "modulus"),
+    ({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": True,
+      "codewords": [[0]]}, "length"),
+    ({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 2, "group": "false",
+      "codewords": [[0, 1], [1, 0]]}, "group"),
+    ({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 2, "group": 1,
+      "codewords": [[0, 0], [1, 1]]}, "group"),
+])
+def test_code_schema_rejects_bool_ints_and_non_bool_group(doc, field):
+    with pytest.raises(SchemaError) as err:
+        ser.code_from_json(doc)
+    assert err.value.field.endswith(field)
+
+
+def test_isometry_schema_rejects_bool_sigma():
+    with pytest.raises(SchemaError):
+        ser.isometry_from_json({"sigma": [True, 2], "config": [[0, 1], [0, 1]]})
