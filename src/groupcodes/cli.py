@@ -12,18 +12,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from typing import Any, Sequence
 
 from .classify import DEFAULT_CENTER_CAP, classify, perfect_by_enumeration
 from .codes import Code, GroupCode, min_distance, min_weight_nonidentity, parameters
-from .cyclic import cyclic_report, interleave, interleave_permutation, is_cyclic, join
+from .cyclic import cyclic_report, interleave_pairs, interleave_permutation, join
 from .decompose import (DEFAULT_PARTITION_BITS, applicable_certificates, decompose)
 from .errors import (GroupCodesError, IncompatibleError, PreconditionError,
                      ResourceLimitError, SchemaError, TheoremViolationError)
-from .isometry import Equivalence
 from .isomorphy import DEFAULT_MAX_NODES, aut_group, code_equivalent, gc_isomorphic
 from .phases import Phases
 from . import serialize
@@ -48,8 +46,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="seed for randomized self tests")
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force cross-checks where gated")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; execution is sequential")
     p.add_argument("--timings", action="store_true",
                    help="print per-phase timings to stderr")
 
@@ -251,20 +247,16 @@ def cmd_interleave(args: argparse.Namespace, phases: Phases) -> int:
     if not isinstance(code, GroupCode):
         raise SchemaError("interleave expects a cyclic group code; set \"group\": true")
     with phases("compute"):
-        out = interleave(code, args.copies)
+        out, pairs = interleave_pairs(code, args.copies)
         sigma = interleave_permutation(code.length, args.copies)
-        equiv = Equivalence(tuple(s - 1 for s in sigma))
-        rows = []
-        for combo in itertools.product(code.words, repeat=args.copies):
-            src = sum(combo, ())
-            rows.append({"from": list(src), "to": list(equiv.push(src))})
-        cyclic = is_cyclic(out)
+        rows = [{"from": list(src), "to": list(img)} for src, img in pairs]
     with phases("report"):
         doc = {"sigma": list(sigma), "convention": "push", "copies": args.copies,
                "source": serialize.code_to_json(code),
                "result": serialize.code_to_json(out),
                "rows": rows,
-               "is_cyclic": cyclic}
+               # interleave_pairs raises TheoremViolationError unless out is cyclic
+               "is_cyclic": True}
         _emit(doc, args.format)
     return EXIT_OK
 
@@ -303,9 +295,6 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be positive", file=sys.stderr)
-        return EXIT_PARSE
     phases = Phases()
     try:
         return _COMMANDS[args.command](args, phases)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ClosureError, IncompatibleError, InvalidWordError, PreconditionError,
                      TheoremViolationError)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, word_closure
 
 Word = tuple[int, ...]
 
@@ -119,22 +119,8 @@ def _check_subgroup(G: FiniteGroup, n: int, words: tuple[Word, ...]) -> None:
         raise ClosureError("group code does not contain the identity word", witness=(e,))
     # fast sound check: greedily pick generators from the set and close them;
     # the closure is a subgroup, so it equals the set iff the set is one
-    gens: list[Word] = []
-    closure = {e}
-    for w in words:
-        if w in closure:
-            continue
-        gens.append(w)
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = tuple(G.table[a][b] for a, b in zip(x, g))
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) > len(ws):
-            break
+    closure = word_closure(G, n, limit=len(ws))
+    closure.greedy(words)
     if len(closure) == len(ws):
         return
     # failure path: locate a user-meaningful witness inside the given set
@@ -161,17 +147,9 @@ def word_inv(G: FiniteGroup, x: Word) -> Word:
 def generate_group_code(G: FiniteGroup, length: int, generators: Iterable[Sequence[int]]) -> GroupCode:
     """Smallest subgroup of G^n containing the generator words."""
     gens = [_check_word(w, length, G.order) for w in generators]
-    e = (G.identity,) * length
-    known = {e}
-    frontier = [e]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = word_mul(G, x, g)
-            if y not in known:
-                known.add(y)
-                frontier.append(y)
-    return GroupCode._build(G, length, tuple(sorted(known)))
+    closure = word_closure(G, length)
+    closure.greedy(gens)
+    return GroupCode._build(G, length, tuple(sorted(closure.elements)))
 
 
 def min_distance(C: Code) -> int:

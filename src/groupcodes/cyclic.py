@@ -58,12 +58,10 @@ def interleave_permutation(m: int, copies: int) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def interleave(D: GroupCode, copies: int) -> GroupCode:
-    """Rearrange D^copies into a cyclic group code of length copies*len(D).
-
-    The output is asserted cyclic; a failure there would mean the
-    permutation convention broke and is raised as an internal error.
-    """
+def interleave_pairs(D: GroupCode, copies: int) -> tuple[GroupCode, list[tuple[Word, Word]]]:
+    """``interleave(D, copies)`` together with the pairs it is built from:
+    each word of D^copies, concatenated, with its pushed image, in
+    ``itertools.product`` order."""
     if copies < 1:
         raise PreconditionError(f"need at least one copy, got {copies}")
     if not isinstance(D, GroupCode):
@@ -71,15 +69,26 @@ def interleave(D: GroupCode, copies: int) -> GroupCode:
     if not is_cyclic(D):
         raise PreconditionError("interleaving requires a cyclic input code")
     m = D.length
-    sigma = interleave_permutation(m, copies)
-    equiv = Equivalence(tuple(s - 1 for s in sigma))
-    words = [equiv.push(sum(combo, ())) for combo in itertools.product(D.words, repeat=copies)]
-    out = GroupCode.from_words(D.alphabet, copies * m, words)
+    equiv = Equivalence(tuple(s - 1 for s in interleave_permutation(m, copies)))
+    pairs = []
+    for combo in itertools.product(D.words, repeat=copies):
+        src = sum(combo, ())
+        pairs.append((src, equiv.push(src)))
+    out = GroupCode.from_words(D.alphabet, copies * m, [img for _, img in pairs])
     if out.size != D.size**copies:
         raise TheoremViolationError("interleaving collapsed words; permutation is not bijective")
     if not is_cyclic(out):
         raise TheoremViolationError("interleaved code is not cyclic; convention bug")
-    return out
+    return out, pairs
+
+
+def interleave(D: GroupCode, copies: int) -> GroupCode:
+    """Rearrange D^copies into a cyclic group code of length copies*len(D).
+
+    The output is asserted cyclic; a failure there would mean the
+    permutation convention broke and is raised as an internal error.
+    """
+    return interleave_pairs(D, copies)[0]
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,21 @@
 Elements are dense integer indices 0..q-1 so that every search reduces to
 array indexing; human-readable names live only in the ``label`` field.
 Groups are validated eagerly at construction and immutable afterwards.
+
+Every subgroup computation of the package goes through two routines here:
+``CosetClosure``, the one closure under generators (Dimino's algorithm),
+for elements of G, words of G^n and point forms of isometries alike; and
+``subgroup_isomorphisms``, the one homomorphism backtracker, which
+``automorphisms`` calls with H = K = G.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from operator import getitem
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import NotAGroupError, PreconditionError, ResourceLimitError
 
@@ -25,6 +33,11 @@ class FiniteGroup:
     identity: int
     inverse: tuple[int, ...]
     label: str = ""
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[b][a] = a·b: right multiplication by b as a lookup."""
+        return tuple(zip(*self.table))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -177,103 +190,137 @@ def klein_four_group() -> FiniteGroup:
                        inverse=g.inverse, label="V4")
 
 
-def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup of G containing the seed elements.
+class CosetClosure:
+    """The subgroup generated so far, grown coset by coset (Dimino's algorithm;
+    G. Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
 
-    Right-multiplication closure from the identity suffices: a finite set
-    closed under the product and containing the identity is a subgroup.
+    The one closure routine of the package. Elements are hashable values
+    with an ``identity`` and a right multiplication: ``right_mul(t)`` is the
+    map x -> x·t, such as a table column for elements of G
+    (``element_closure``), one column per coordinate for words of G^n
+    (``word_closure``), or ``itemgetter(*t)`` for point forms. Elements are
+    told apart by ``key`` (the element itself by default; a signature to
+    work in a quotient), each kept as one representative. A generator
+    outside the current subgroup H extends it by the right cosets H·t,
+    where t = r·s runs over coset representatives r times generators s, so
+    every new element is multiplied out exactly once. Growth stops as soon
+    as the closure holds more than ``limit`` elements.
     """
-    gens = list(seed)
-    known = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.table[x][g]
-            if y not in known:
-                known.add(y)
-                frontier.append(y)
-    return frozenset(known)
+
+    def __init__(self, identity: Hashable, right_mul: Callable, key: Callable | None = None,
+                 limit: int | None = None) -> None:
+        self.identity = identity
+        self.right_mul = right_mul
+        self.key = key
+        self.limit = limit
+        self.gens: list = []
+        self._gen_muls: list[Callable] = []
+        self.elements = [identity]
+        self.keys = {identity if key is None else key(identity)}
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def overflowed(self) -> bool:
+        return self.limit is not None and len(self.elements) > self.limit
+
+    def add(self, g: Hashable) -> None:
+        """Append g to the generators and close; g must lie outside."""
+        key, keys, elements, limit = self.key, self.keys, self.elements, self.limit
+        right_mul = self.right_mul
+        self.gens.append(g)
+        self._gen_muls.append(right_mul(g))
+        subgroup = elements[:]
+        reps = [self.identity]
+        for r in reps:
+            for mul in self._gen_muls:
+                t = mul(r)
+                if (t if key is None else key(t)) in keys:
+                    continue
+                reps.append(t)
+                coset = list(map(right_mul(t), subgroup)) if len(subgroup) > 1 else [t]
+                elements.extend(coset)
+                keys.update(coset if key is None else map(key, coset))
+                if limit is not None and len(elements) > limit:
+                    return
+
+    def greedy(self, candidates: Iterable, size: int | None = None) -> list[int]:
+        """Take each candidate not already generated, in order, until the
+        closure holds ``size`` elements or more than its limit; return the
+        positions of the candidates taken."""
+        key, keys = self.key, self.keys
+        picks: list[int] = []
+        for k, x in enumerate(candidates):
+            if len(self.elements) == size or self.overflowed():
+                break
+            if (x if key is None else key(x)) not in keys:
+                self.add(x)
+                picks.append(k)
+        return picks
 
 
-def generating_sequence(G: FiniteGroup) -> tuple[int, ...]:
-    """A small generating sequence, chosen greedily for maximal growth.
+def element_closure(G: FiniteGroup, limit: int | None = None) -> CosetClosure:
+    """A CosetClosure over the elements of G."""
+    columns = G.columns
+    return CosetClosure(G.identity, lambda t: columns[t].__getitem__, limit=limit)
 
-    Deterministic: ties break toward the smallest element index.
+
+def word_closure(G: FiniteGroup, n: int, limit: int | None = None) -> CosetClosure:
+    """A CosetClosure over the words of G^n, multiplied coordinatewise."""
+    columns = G.columns
+
+    def right_mul(t: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        cols = [columns[b] for b in t]
+        return lambda x: tuple(map(getitem, cols, x))
+
+    return CosetClosure((G.identity,) * n, right_mul, limit=limit)
+
+
+def subgroup_isomorphisms(G: FiniteGroup, H: Sequence[int], K: Sequence[int]) -> list[dict[int, int]]:
+    """All isomorphisms from the subgroup with element set H onto the one
+    with element set K, each a dict keyed in increasing order, sorted by the
+    images of H in the order given.
+
+    The one homomorphism backtracker of the package. It assigns images of
+    equal element order to greedy generators g_1, g_2, ... of H. A partial
+    assignment g_i -> h_i is checked by closing its graph, the subgroup of
+    G×G generated by the pairs (g_i, h_i), as words of length 2: it extends
+    to a homomorphism on <g_1, ..., g_k> iff no two elements of the graph
+    share a first coordinate.
     """
-    gens: list[int] = []
-    current = frozenset({G.identity})
-    while len(current) < G.order:
-        best_elem, best_size = None, -1
-        for a in range(G.order):
-            if a in current:
-                continue
-            size = len(subgroup_closure(G, list(gens) + [a]))
-            if size > best_size:
-                best_elem, best_size = a, size
-        assert best_elem is not None
-        gens.append(best_elem)
-        current = subgroup_closure(G, gens)
-    return tuple(gens)
+    if len(H) != len(K):
+        return []
+    generated = element_closure(G)
+    generated.greedy(H, len(H))
+    gens = generated.gens
+    orders = {h: G.element_order(h) for h in K}
+    candidates = [[h for h in K if orders[h] == G.element_order(g)] for g in gens]
+    out: list[dict[int, int]] = []
 
+    def rec(pairs: list[tuple[int, int]]) -> None:
+        graph = word_closure(G, 2, limit=len(H))
+        graph.greedy(pairs)
+        if graph.overflowed() or len({x for x, _ in graph.elements}) < len(graph):
+            return
+        if len(pairs) < len(gens):
+            for h in candidates[len(pairs)]:
+                rec(pairs + [(gens[len(pairs)], h)])
+        elif len({y for _, y in graph.elements}) == len(K):
+            out.append(dict(sorted(graph.elements)))
 
-def _extend_hom(G: FiniteGroup, pairs: Sequence[tuple[int, int]]) -> dict[int, int] | None:
-    """Close a partial generator assignment into a homomorphism on <gens>.
-
-    Returns the mapping on the generated subgroup, or None on conflict.
-    """
-    mapping = {G.identity: G.identity}
-    for g, h in pairs:
-        if mapping.get(g, h) != h:
-            return None
-        mapping[g] = h
-    frontier = list(mapping)
-    while frontier:
-        x = frontier.pop()
-        for g, h in pairs:
-            y = G.table[x][g]
-            img = G.table[mapping[x]][h]
-            if y in mapping:
-                if mapping[y] != img:
-                    return None
-            else:
-                mapping[y] = img
-                frontier.append(y)
-    return mapping
+    rec([])
+    out.sort(key=lambda m: tuple(m[a] for a in H))
+    return out
 
 
 def automorphisms(G: FiniteGroup, max_order: int = DEFAULT_AUTOMORPHISM_ORDER_CAP) -> list[GroupAutomorphism]:
-    """All automorphisms of G, by backtracking on generator images.
-
-    Candidate images are pruned by element order; each partial assignment is
-    closed into a homomorphism and rejected on the first inconsistency.
-    """
+    """All automorphisms of G, sorted: the isomorphisms from G onto itself."""
     if G.order > max_order:
         raise ResourceLimitError(
             f"automorphism search capped at order {max_order}, group has order {G.order}")
-    gens = generating_sequence(G)
-    if not gens:  # trivial group
-        return [GroupAutomorphism((0,))]
-    orders = [G.element_order(g) for g in gens]
-    candidates = [[a for a in range(G.order) if G.element_order(a) == o] for o in orders]
-    found: list[GroupAutomorphism] = []
-
-    def rec(idx: int, pairs: list[tuple[int, int]]) -> None:
-        if idx == len(gens):
-            mapping = _extend_hom(G, pairs)
-            if mapping is not None and len(mapping) == G.order \
-                    and len(set(mapping.values())) == G.order:
-                found.append(GroupAutomorphism(tuple(mapping[a] for a in range(G.order))))
-            return
-        for h in candidates[idx]:
-            pairs.append((gens[idx], h))
-            if _extend_hom(G, pairs) is not None:
-                rec(idx + 1, pairs)
-            pairs.pop()
-
-    rec(0, [])
-    found.sort(key=lambda a: a.mapping)
-    return found
+    elements = tuple(G.elements())
+    return [GroupAutomorphism(tuple(m.values()))
+            for m in subgroup_isomorphisms(G, elements, elements)]
 
 
 def euler_totient(m: int) -> int:

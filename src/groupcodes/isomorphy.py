@@ -24,9 +24,8 @@ from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
                     word_mul)
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
-from .groups import FiniteGroup
-from .isometry import (Isometry, compose, compose_points, from_points, identity_isometry,
-                       to_points)
+from .groups import CosetClosure, subgroup_isomorphisms, word_closure
+from .isometry import Isometry, compose, from_points, identity_isometry, to_points
 from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
@@ -79,98 +78,9 @@ class GroupCodeIso:
 
 def code_generating_words(C: GroupCode) -> tuple[Word, ...]:
     """Small generating set of the subgroup C, greedy over sorted words."""
-    G = C.alphabet
-    e = C.identity_word()
-    gens: list[Word] = []
-    closure = {e}
-    for w in C.words:
-        if w in closure:
-            continue
-        gens.append(w)
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = word_mul(G, x, g)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) == C.size:
-            break
-    return tuple(gens)
-
-
-def _subset_generators(G: FiniteGroup, H: tuple[int, ...]) -> tuple[int, ...]:
-    """Generating sequence of the subgroup with element set H."""
-    gens: list[int] = []
-    closure = {G.identity}
-    for a in H:
-        if a in closure:
-            continue
-        gens.append(a)
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = G.table[x][g]
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) == len(H):
-            break
-    return tuple(gens)
-
-
-def _subgroup_isomorphisms(G: FiniteGroup, H: tuple[int, ...], K: tuple[int, ...]) -> list[dict[int, int]]:
-    """All group isomorphisms from subgroup H onto subgroup K (as dicts)."""
-    if len(H) != len(K):
-        return []
-    gens = _subset_generators(G, H)
-    kset = set(K)
-    out: list[dict[int, int]] = []
-
-    def close(pairs: list[tuple[int, int]]) -> dict[int, int] | None:
-        mapping = {G.identity: G.identity}
-        for g, h in pairs:
-            if mapping.get(g, h) != h:
-                return None
-            mapping[g] = h
-        frontier = list(mapping)
-        while frontier:
-            x = frontier.pop()
-            for g, h in pairs:
-                y = G.table[x][g]
-                img = G.table[mapping[x]][h]
-                if y in mapping:
-                    if mapping[y] != img:
-                        return None
-                elif img not in kset:
-                    return None
-                else:
-                    mapping[y] = img
-                    frontier.append(y)
-        return mapping
-
-    def rec(idx: int, pairs: list[tuple[int, int]]) -> None:
-        if idx == len(gens):
-            m = close(pairs)
-            if m is not None and len(m) == len(H) and len(set(m.values())) == len(K):
-                out.append(m)
-            return
-        want = G.element_order(gens[idx])
-        for h in K:
-            if G.element_order(h) != want:
-                continue
-            pairs.append((gens[idx], h))
-            if close(pairs) is not None:
-                rec(idx + 1, pairs)
-            pairs.pop()
-
-    if not gens:  # trivial subgroup
-        return [{G.identity: G.identity}] if set(K) == {G.identity} else []
-    rec(0, [])
-    out.sort(key=lambda m: tuple(m[a] for a in H))
-    return out
+    closure = word_closure(C.alphabet, C.length)
+    closure.greedy(C.words, C.size)
+    return tuple(closure.gens)
 
 
 def _all_bijections(H: tuple[int, ...], K: tuple[int, ...]) -> list[dict[int, int]]:
@@ -223,23 +133,28 @@ class _IsoSearch:
         else:
             self.prefix_counts = [Counter(xs) for xs in prefix_ints]
         self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
+        self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
         self._extension_cache: dict[tuple[int, int, int], tuple] = {}
 
     def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
         """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
         key = (i, j)
         if key not in self._map_cache:
-            if self.group_mode:
-                maps = _subgroup_isomorphisms(self.G, self.proj_in[i], self.proj_out[j])
-            else:
-                maps = _all_bijections(self.proj_in[i], self.proj_out[j])
-            pairs = []
-            for fmap in maps:
-                table = [-1] * self.q
-                for a, b in fmap.items():
-                    table[a] = b
-                pairs.append((fmap, table))
-            self._map_cache[key] = pairs
+            # coordinate pairs with the same projections share one list
+            projections = (self.proj_in[i], self.proj_out[j])
+            if projections not in self._maps_by_projections:
+                if self.group_mode:
+                    maps = subgroup_isomorphisms(self.G, *projections)
+                else:
+                    maps = _all_bijections(*projections)
+                pairs = []
+                for fmap in maps:
+                    table = [-1] * self.q
+                    for a, b in fmap.items():
+                        table[a] = b
+                    pairs.append((fmap, table))
+                self._maps_by_projections[projections] = pairs
+            self._map_cache[key] = self._maps_by_projections[projections]
         return self._map_cache[key]
 
     def run(self, *, find_all: bool) -> list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]]:
@@ -433,7 +348,7 @@ class AutGroupReport:
 def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
     """Close a set of isometries under composition (finite, so a group).
 
-    Restarts from the generators; the test oracle for ``_CosetClosure``.
+    Restarts from the generators; the test oracle for ``groups.CosetClosure``.
     """
     if not gens:
         return set()
@@ -451,58 +366,17 @@ def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Iso
     return closed
 
 
-class _CosetClosure:
-    """The subgroup generated so far, grown coset by coset (Dimino's algorithm).
-
-    Elements are point forms (see ``isometry.to_points``), told apart by
-    ``key`` (the point form itself by default; a signature to work in a
-    quotient), each kept as one representative. A generator outside the
-    current subgroup H extends it by the right cosets H·t, where t = r·s
-    runs over coset representatives r times generators s, so every new
-    element is composed exactly once.
-    """
-
-    def __init__(self, degree: int, key=None) -> None:
-        self.key = key
-        self.identity = tuple(range(degree))
-        self.gens: list[tuple[int, ...]] = []
-        self.elements = [self.identity]
-        self.keys = {self.identity if key is None else key(self.identity)}
-
-    def __contains__(self, points: tuple[int, ...]) -> bool:
-        return (points if self.key is None else self.key(points)) in self.keys
-
-    def add(self, g: tuple[int, ...]) -> None:
-        """Append g to the generators and close; g must lie outside."""
-        key, keys, elements = self.key, self.keys, self.elements
-        self.gens.append(g)
-        subgroup = elements[:]
-        reps = [self.identity]
-        for r in reps:
-            for s in self.gens:
-                t = compose_points(r, s)
-                if t in self:
-                    continue
-                reps.append(t)
-                # h -> h∘t for every h in H; the getter returns tuples, as a
-                # group on one point has no element outside H
-                coset = list(map(itemgetter(*t), subgroup))
-                elements.extend(coset)
-                keys.update(coset if key is None else map(key, coset))
+def _point_closure(degree: int, key=None) -> CosetClosure:
+    """A CosetClosure over point forms (see ``isometry.to_points``), with
+    P_a∘P_b = ``itemgetter(*b)(a)`` as in ``isometry.compose_points``; the
+    getter returns tuples, as a group on one point has no element to add."""
+    return CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t), key)
 
 
 def _greedy_picks(points: Sequence[tuple[int, ...]]) -> list[int]:
     """Greedy generators over the point forms of all elements of a group:
     the index of each element not generated by the ones taken before it."""
-    closure = _CosetClosure(len(points[0]))
-    picks: list[int] = []
-    for k, p in enumerate(points):
-        if len(closure.elements) == len(points):
-            break
-        if p not in closure:
-            closure.add(p)
-            picks.append(k)
-    return picks
+    return _point_closure(len(points[0])).greedy(points, len(points))
 
 
 def _greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
@@ -598,11 +472,11 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
     domains = [(i, search.proj_in[i]) for i in range(n)]
     pick = itemgetter(*[i * q + a for i, dom in domains for a in dom])
     signature = pick if sum(len(dom) for _, dom in domains) > 1 else (lambda p: (pick(p),))
-    quotient = _CosetClosure(q * n, signature)
+    quotient = _point_closure(q * n, signature)
     inv = [0] * n
     for leaf in leaves:
         # every leaf is one coset, so a full quotient takes no more picks
-        if len(quotient.elements) == len(leaves):
+        if len(quotient) == len(leaves):
             break
         sigma, restr = leaf
         for j, i in enumerate(sigma):

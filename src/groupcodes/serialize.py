@@ -99,6 +99,14 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int_rows(rows: list, field: str) -> None:
+    """Every row a list of plain ints: ``int()`` would turn ``true`` or
+    ``0.7`` into a symbol."""
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or not all(_is_int(s) for s in row):
+            raise SchemaError(f"item {k} (0-based) is not a list of integers", field)
+
+
 # alphabets ----------------------------------------------------------------
 
 def alphabet_to_json(G: FiniteGroup) -> dict:
@@ -124,6 +132,7 @@ def alphabet_from_json(obj: Any) -> FiniteGroup:
         table = obj.get("table")
         if not isinstance(table, list):
             raise SchemaError("missing multiplication table", "alphabet.table")
+        _check_int_rows(table, "alphabet.table")
         label = obj.get("label", "")
         try:
             return group_from_table(table, label=str(label))
@@ -158,6 +167,7 @@ def code_from_json(obj: Any) -> Code:
         gens = obj["generators"]
         if not isinstance(gens, list):
             raise SchemaError("generators must be a list of words", "generators")
+        _check_int_rows(gens, "generators")
         try:
             return generate_group_code(G, length, gens)
         except GroupCodesError as err:
@@ -165,6 +175,7 @@ def code_from_json(obj: Any) -> Code:
     words = obj.get("codewords")
     if not isinstance(words, list) or not words:
         raise SchemaError("codewords must be a non-empty list of words", "codewords")
+    _check_int_rows(words, "codewords")
     try:
         if is_group:
             return GroupCode.from_words(G, length, words)

@@ -231,9 +231,11 @@ def test_selftest_quick(capsys):
     assert out.count("PASS") >= 9 and "FAIL" not in out
 
 
-def test_threads_flag_validation(files, capsys):
-    assert main(["analyze", files["d"], "--threads", "0"]) == 2
-    assert main(["analyze", files["d"], "--threads", "4"]) == 0
+def test_threads_is_an_unknown_option(files, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", files["d"], "--threads", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_emitted_code_json_reparses(files, capsys):
@@ -298,3 +300,19 @@ def test_analyze_rejects_bool_ints_and_non_bool_group(tmp_path, capsys, doc):
     assert main(["analyze", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 2,
+      "codewords": [[True, 0], [0.7, 1]]}, "codewords"),
+    ({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 2, "group": True,
+      "generators": [[True, 1.5]]}, "generators"),
+    ({"alphabet": {"kind": "table", "table": [[0, 1], [1, 0.9]]}, "length": 1,
+      "codewords": [[0]]}, "alphabet.table"),
+])
+def test_analyze_rejects_non_int_symbols(tmp_path, capsys, doc, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["analyze", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {field}:")

@@ -57,6 +57,36 @@ Z3_REP2 = [(a, a) for a in range(3)]
 Z4_HALF = [(0, 0), (2, 2)]
 Z4_REP2 = [(a, a) for a in range(4)]
 
+# V4 = Z/2 x Z/2 as a "product" alphabet, (a, b) encoded as 2a + b, so the
+# product is XOR; S3 as a "table" alphabet, the permutations of {0, 1, 2} in
+# lexicographic order composed right to left, with A3 = {0, 3, 4}
+V4 = {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 2}] * 2}
+S3_TABLE = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+            [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]
+S3 = {"kind": "table", "table": S3_TABLE, "label": "S3"}
+A3 = (0, 3, 4)
+
+
+def conjugate(x: int) -> int:
+    """x under the inner automorphism of S3 by the transposition 1."""
+    return S3_TABLE[S3_TABLE[1][x]][1]
+
+
+def group_doc(alphabet: dict, words) -> dict:
+    words = sorted(tuple(w) for w in words)
+    return {"alphabet": alphabet, "length": len(words[0]),
+            "codewords": [list(w) for w in words], "group": True}
+
+
+def v4_relabel(words, perm, autos) -> list:
+    """Words over V4 with coordinates permuted and relabelled by automorphisms."""
+    return [tuple(autos[j][w[perm[j]]] for j in range(len(perm))) for w in words]
+
+
+V4_SUM0 = [(a, b, a ^ b) for a in range(4) for b in range(4)]
+V4_REP2 = [(a, a) for a in range(4)]
+V4_ID, V4_SWAP, V4_SHEAR = (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
+
 CORPUS = {
     # the documents of tests/test_cli.py
     "z4": {"alphabet": {"kind": "cyclic", "modulus": 4}, "length": 3,
@@ -77,6 +107,20 @@ CORPUS = {
     "z4_halves_rep": scrambled_sum(4, [Z4_HALF, Z4_HALF, Z4_REP2], 3),
     "d_d_rep2": scrambled_sum(2, [D, D, REP2], 4),
     "z4_half4": scrambled_sum(4, [Z4_HALF] * 4, 5),   # order 98304: generators only
+    # product and non-abelian alphabets
+    "v4rep": group_doc(V4, [(a, a, a) for a in range(4)]),
+    "v4sum0": group_doc(V4, V4_SUM0),
+    "v4_mix": group_doc(V4, v4_relabel([x + y for x in V4_SUM0 for y in V4_REP2],
+                                       (3, 0, 4, 1, 2),
+                                       (V4_SWAP, V4_ID, V4_SHEAR, V4_SWAP, V4_ID))),
+    "v4_mix_b": group_doc(V4, [x + y for x in V4_SUM0 for y in V4_REP2]),
+    "s3_diag": group_doc(S3, [(a, a, a) for a in range(6)]),
+    "s3_diag_conj": group_doc(S3, [(a, conjugate(a), a) for a in range(6)]),
+    "s3_pad": group_doc(S3, [(a, a, 0) for a in range(6)]),
+    "s3_gens": {"alphabet": S3, "length": 3, "generators": [[1, 1, 1], [3, 3, 3]],
+                "group": True},
+    "s3_a3": group_doc(S3, [(a, b, b) for a in A3 for b in range(6)]),
+    "s3_a3_perm": group_doc(S3, [(b, a, b) for a in A3 for b in range(6)]),
 }
 
 CASES = {
@@ -108,6 +152,23 @@ CASES = {
     "interleave": ["interleave", "d", "--copies", "2"],
     "interleave_rep": ["interleave", "rep", "--copies", "3"],
     "join": ["join", "rep", "z3rep"],
+    "analyze_v4": ["analyze", "v4_mix"],
+    "analyze_s3_diag": ["analyze", "s3_diag"],
+    "analyze_s3_gens": ["analyze", "s3_gens"],
+    "analyze_s3_a3": ["analyze", "s3_a3"],
+    "decompose_v4": ["decompose", "v4_mix"],
+    "decompose_s3_a3": ["decompose", "s3_a3"],
+    "aut_v4": ["aut", "v4_mix"],
+    "aut_s3_diag": ["aut", "s3_diag"],
+    "aut_s3_a3": ["aut", "s3_a3"],
+    "aut_structure_v4": ["aut", "v4_mix", "--with-structure"],
+    "aut_structure_s3_a3": ["aut", "s3_a3", "--with-structure"],
+    "iso_v4": ["iso", "v4_mix", "v4_mix_b"],
+    "iso_s3_conj": ["iso", "s3_diag", "s3_diag_conj"],
+    "iso_s3_perm": ["iso", "s3_a3", "s3_a3_perm"],
+    "iso_s3_negative": ["iso", "s3_diag", "s3_pad"],
+    "interleave_v4": ["interleave", "v4rep", "--copies", "2"],
+    "join_v4": ["join", "v4sum0", "v4rep"],
 }
 CASES.update({f"{name}_text": argv + ["--format", "text"]
               for name, argv in list(CASES.items())})
