@@ -40,7 +40,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-partition-bits", type=int, default=DEFAULT_PARTITION_BITS,
                    metavar="N", help="coordinate cap for the subset split search")
     p.add_argument("--max-search", type=int, default=DEFAULT_MAX_NODES,
-                   metavar="M", help="node cap for isomorphism searches")
+                   metavar="M", help="node cap for each isomorphism search "
+                                     "(and leaf cap for assembled automorphism groups)")
     p.add_argument("--center-cap", type=int, default=DEFAULT_CENTER_CAP,
                    metavar="W", help="word cap for the constant-weight center scan")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized self tests")
@@ -66,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="automorphism group of a group code")
     p.add_argument("input")
     p.add_argument("--with-structure", action="store_true",
-                   help="also decompose and assert the product-formula order")
+                   help="also report the isotypes with the automorphism order of "
+                        "each representative, and check the product formula")
     _common_flags(p)
 
     p = sub.add_parser("iso", help="isomorphism test between two codes")
@@ -208,7 +210,8 @@ def cmd_aut(args: argparse.Namespace, phases: Phases) -> int:
         with phases("decompose"):
             dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
     try:
-        report = aut_group(code, dec, max_nodes=args.max_search, phases=phases)
+        report = aut_group(code, dec, max_nodes=args.max_search,
+                           max_bits=args.max_partition_bits, phases=phases)
     except ResourceLimitError as err:
         print(f"automorphism search aborted: {err}", file=sys.stderr)
         partial = {"order": None, "complete": False,

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,8 +36,17 @@ def weight(x: Word, x0: Word) -> int:
     return hamming_distance(x, x0)
 
 
+def _symbol(s: object) -> int:
+    """An integer symbol as a plain int; bools, strings and floats are no symbols."""
+    if isinstance(s, Integral) and not isinstance(s, bool):
+        return int(s)
+    raise InvalidWordError(f"symbol {s!r} is not an integer")
+
+
 def _check_word(w: Sequence[int], n: int, q: int) -> Word:
-    t = tuple(int(s) for s in w)
+    t = tuple(w)
+    if set(map(type, t)) != {int}:
+        t = tuple(map(_symbol, t))
     if len(t) != n:
         raise InvalidWordError(f"word length {len(t)}, expected {n}")
     for s in t:

@@ -18,7 +18,7 @@ import numpy as np
 from .classify import constant_weight_group, is_degenerate, is_mds, is_perfect, is_trivial
 from .codes import Code, GroupCode, direct_sum_all, projection
 from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
-from .isometry import Configuration, Equivalence, Isometry, apply_to_code
+from .isometry import Configuration, Equivalence, Isometry, apply_to_code, identity_isometry
 from .isomorphy import DEFAULT_MAX_NODES, code_equivalent, gc_isomorphic
 
 DEFAULT_PARTITION_BITS = 24
@@ -173,11 +173,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of the recursive split: components, isotypes, and a witness.
+    """Result of the recursive split: components, isotypes, and witnesses.
 
     The witness is the block-concatenation coordinate permutation (pull
     form, identity configuration); applied to the code it yields exactly
-    the direct sum of the components in block order.
+    the direct sum of the components in block order. ``isotype_witnesses[k]``
+    maps the representative of component k's isotype onto component k (a
+    group-code isomorphism for group codes; the identity on a representative).
     """
 
     partition: Partition
@@ -186,6 +188,7 @@ class Decomposition:
     isotype_members: tuple[tuple[int, ...], ...]
     witness: Isometry
     certificates: tuple[str | None, ...]
+    isotype_witnesses: tuple[Isometry, ...]
 
     @property
     def indecomposable(self) -> bool:
@@ -232,14 +235,18 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     group_mode = isinstance(C, GroupCode)
     rep_indices: list[int] = []
     members: list[list[int]] = []
+    witnesses: list[Isometry] = []
     for ci, comp in enumerate(components):
         for k, r in enumerate(rep_indices):
-            if _same_isotype(components[r], comp, group_mode, max_nodes):
+            found = _isotype_witness(components[r], comp, group_mode, max_nodes)
+            if found is not None:
                 members[k].append(ci)
+                witnesses.append(found)
                 break
         else:
             rep_indices.append(ci)
             members.append([ci])
+            witnesses.append(identity_isometry(C.alphabet.order, comp.length))
     isotypes = tuple((r, len(m)) for r, m in zip(rep_indices, members))
 
     perm = tuple(i for b in blocks for i in b)
@@ -253,13 +260,16 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     return Decomposition(partition=partition, components=components,
                          isotypes=isotypes,
                          isotype_members=tuple(tuple(m) for m in members),
-                         witness=witness, certificates=certificates)
+                         witness=witness, certificates=certificates,
+                         isotype_witnesses=tuple(witnesses))
 
 
-def _same_isotype(a: Code, b: Code, group_mode: bool, max_nodes: int) -> bool:
+def _isotype_witness(a: Code, b: Code, group_mode: bool, max_nodes: int) -> Isometry | None:
+    """An isometry mapping a onto b (a group-code isomorphism in group mode), or None."""
     if a.length != b.length or a.size != b.size:
-        return False
+        return None
     if group_mode:
         assert isinstance(a, GroupCode) and isinstance(b, GroupCode)
-        return gc_isomorphic(a, b, max_nodes=max_nodes) is not None
-    return code_equivalent(a, b, max_nodes=max_nodes) is not None
+        found = gc_isomorphic(a, b, max_nodes=max_nodes)
+        return None if found is None else found.iso
+    return code_equivalent(a, b, max_nodes=max_nodes)

@@ -9,6 +9,16 @@ requirement factors per coordinate: f_j restricted to pi_{σ(j)}(C) must be
 a subgroup isomorphism onto pi_j(D). Off that projection, any bijective
 extension works, and distinct extensions are distinct ambient maps, which
 is exactly what the automorphism counting has to honor.
+
+Automorphism groups follow the product formula Aut(⊕ D_j^alpha_j) =
+prod Aut(D_j) ≀ Sym(alpha_j): ``aut_group`` decomposes the code, runs the
+find-all search on one representative per isotype, and assembles the
+whole code's search leaves from block permutations within each isotype
+and tuples of component leaves, conjugated by the isotype witnesses of
+the decomposition. The assembled leaves are those of the search over the
+whole code, in its order and with its restriction objects, so everything
+downstream (leaf expansion, sorting, generator choice) is shared; that
+search still handles indecomposable codes and is the test oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
 from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
-                    word_mul)
+                    projection, word_mul)
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import CosetClosure, subgroup_isomorphisms, word_closure
@@ -99,12 +109,16 @@ class _IsoSearch:
 
     A probe's image prefix of length k is held as the mixed-radix integer
     sum_t y_t q^(k-1-t), so a child's image is ``img * q + f[c]`` and the
-    prefix tests against D are integer set lookups.
+    prefix tests against D are integer set lookups. The probes and D's
+    prefixes are built by ``run``; leaf expansion needs only the
+    projections and the candidate maps, which searches over one alphabet
+    may share through ``maps``.
     """
 
     def __init__(self, C: Code, D: Code, *, group_mode: bool,
-                 max_nodes: int = DEFAULT_MAX_NODES) -> None:
+                 max_nodes: int = DEFAULT_MAX_NODES, maps: dict | None = None) -> None:
         self.C = C
+        self.D = D
         self.G = C.alphabet
         self.q = self.G.order
         self.n = C.length
@@ -112,28 +126,13 @@ class _IsoSearch:
         self.max_nodes = max_nodes
         self.nodes = 0
         self.proj_in = [tuple(sorted({w[i] for w in C.words})) for i in range(self.n)]
-        self.proj_out = [tuple(sorted({w[j] for w in D.words})) for j in range(self.n)]
+        self.proj_out = (self.proj_in if D is C else
+                         [tuple(sorted({w[j] for w in D.words})) for j in range(self.n)])
         self.comp_in = [_complement(h, self.q) for h in self.proj_in]
         self.comp_out = [_complement(h, self.q) for h in self.proj_out]
-        if group_mode:
-            probes = code_generating_words(C)  # images must land in D
-        else:
-            probes = C.words
-        # the probes' symbols at input coordinate i
-        self.probe_columns = [tuple(p[i] for p in probes) for i in range(self.n)]
-        self.probe_count = len(probes)
-        # output-prefix data of D, per depth, as mixed-radix integers
-        prefixes = [0] * D.size
-        prefix_ints = [prefixes]
-        for j in range(self.n):
-            prefixes = [x * self.q + w[j] for x, w in zip(prefixes, D.words)]
-            prefix_ints.append(prefixes)
-        if group_mode:
-            self.prefix_sets = [frozenset(xs) for xs in prefix_ints]
-        else:
-            self.prefix_counts = [Counter(xs) for xs in prefix_ints]
         self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
-        self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
+        self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = (
+            {} if maps is None else maps)
         self._extension_cache: dict[tuple[int, int, int], tuple] = {}
 
     def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
@@ -163,12 +162,24 @@ class _IsoSearch:
         leaves: list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = []
         sigma: list[int] = []
         restr: list[dict[int, int]] = []
-        n, q = self.n, self.q
+        C, D, n, q = self.C, self.D, self.n, self.q
+        group_mode = self.group_mode
+        probes = code_generating_words(C) if group_mode else C.words  # images must land in D
+        # the probes' symbols at input coordinate i
+        columns = [tuple(p[i] for p in probes) for i in range(n)]
+        # output-prefix data of D, per depth, as mixed-radix integers
+        prefixes = [0] * D.size
+        prefix_ints = [prefixes]
+        for j in range(n):
+            prefixes = [x * q + w[j] for x, w in zip(prefixes, D.words)]
+            prefix_ints.append(prefixes)
+        if group_mode:
+            prefix_sets = [frozenset(xs) for xs in prefix_ints]
+        else:
+            prefix_counts = [Counter(xs) for xs in prefix_ints]
         used = [False] * n
-        columns = self.probe_columns
         in_sizes = [len(h) for h in self.proj_in]
         out_sizes = [len(h) for h in self.proj_out]
-        group_mode = self.group_mode
 
         def rec(j: int, current: list[int]) -> bool:
             self.nodes += 1
@@ -178,19 +189,19 @@ class _IsoSearch:
                     partial_generators=tuple(leaves))
             if j == n:
                 if group_mode:
-                    words = self.prefix_sets[n]
+                    words = prefix_sets[n]
                     ok = all(img in words for img in current)
                 else:
                     distinct = set(current)
-                    ok = distinct == self.prefix_counts[n].keys() and len(distinct) == self.C.size
+                    ok = distinct == prefix_counts[n].keys() and len(distinct) == C.size
                 if ok:
                     leaves.append((tuple(sigma), tuple(restr)))
                     return not find_all
                 return False
             if group_mode:
-                ps = self.prefix_sets[j + 1]
+                ps = prefix_sets[j + 1]
             else:
-                counts = self.prefix_counts[j + 1]
+                counts = prefix_counts[j + 1]
             for i in range(n):
                 if used[i] or in_sizes[i] != out_sizes[j]:
                     continue
@@ -213,7 +224,7 @@ class _IsoSearch:
                         return True
             return False
 
-        rec(0, [0] * self.probe_count)
+        rec(0, [0] * len(probes))
         return leaves
 
     # leaf expansion -------------------------------------------------
@@ -390,15 +401,18 @@ def _greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
               max_nodes: int = DEFAULT_MAX_NODES,
               explicit_cap: int = DEFAULT_EXPLICIT_CAP,
+              max_bits: int | None = None,
               phases: Phases | None = None) -> AutGroupReport:
     """All group-code automorphisms of C, with exact order.
 
     Counts ambient isometries: every bijective extension of the
     per-coordinate maps off the coordinate projections is its own
-    automorphism. With a decomposition supplied, the predicted order
-    prod |Aut(D_j)|^alpha_j * alpha_j! is asserted against the computed one.
-    ``phases`` receives the wall time of the search, the element list, the
-    generator choice and the structure check.
+    automorphism. The search leaves come from C's decomposition (see
+    ``_aut_leaves``): the supplied one, which also yields the structure
+    rows and the check of the order against prod |Aut(D_j)|^alpha_j *
+    alpha_j!, or else ``decompose(C, max_bits=max_bits)``. ``max_nodes``
+    caps every search. ``phases`` receives the wall time of the search,
+    the element list, the generator choice and the structure check.
     """
     if phases is None:
         phases = Phases()
@@ -407,16 +421,9 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
         ident = identity_isometry(1, n)
         return AutGroupReport(order=1, generators=(),
                               elements=(ident,), structure=None)
-    search = _IsoSearch(C, C, group_mode=True, max_nodes=max_nodes)
-    try:
-        with phases("search"):
-            leaves = search.run(find_all=True)
-    except ResourceLimitError as err:
-        witnesses = tuple(
-            GroupCodeIso(search.witness_from_leaf(leaf), C, C)
-            for leaf in err.partial_generators)
-        raise ResourceLimitError(
-            str(err), partial_generators=witnesses, incomplete=True) from None
+    with phases("search"):
+        search, leaves, rows = _aut_leaves(C, decomposition, max_nodes=max_nodes,
+                                           max_bits=max_bits)
     order = len(leaves) * search.extension_count(leaves[0])  # the identity is a leaf
 
     elements: tuple[Isometry, ...] | None
@@ -438,23 +445,201 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
     structure: tuple[tuple[int, int, int], ...] | None = None
     if decomposition is not None:
         with phases("structure"):
-            rows = []
-            predicted = 1
-            for idx, (rep_idx, alpha) in enumerate(decomposition.isotypes):
-                comp = decomposition.components[rep_idx]
-                if not isinstance(comp, GroupCode):
-                    raise PreconditionError("structure prediction needs group-code components")
-                comp_order = aut_group(comp, max_nodes=max_nodes,
-                                       explicit_cap=explicit_cap).order
-                rows.append((idx, comp_order, alpha))
-                predicted *= comp_order**alpha * math.factorial(alpha)
+            predicted = math.prod(comp_order**alpha * math.factorial(alpha)
+                                  for _, comp_order, alpha in rows)
             if predicted != order:
                 raise TheoremViolationError(
                     f"automorphism order {order} does not match the structure "
                     f"prediction {predicted}; decomposition or search is buggy")
-            structure = tuple(rows)
+            structure = rows
     return AutGroupReport(order=order, generators=generators,
                           elements=elements, structure=structure)
+
+
+Leaf = tuple[tuple[int, ...], tuple[dict[int, int], ...]]
+
+
+def _aut_leaves(C: GroupCode, decomposition: "Decomposition | None", *,
+                max_nodes: int, max_bits: int | None
+                ) -> tuple[_IsoSearch, list[Leaf], tuple[tuple[int, int, int], ...]]:
+    """C's automorphism search leaves, equal to those of the whole-code
+    search ``_IsoSearch(C, C).run(find_all=True)`` and in its order, with
+    the structure rows (isotype, |Aut| of its representative, alpha).
+
+    By the product formula Aut(⊕ D_j^alpha_j) = prod Aut(D_j) ≀ Sym(alpha_j),
+    only one representative per isotype is searched; the other leaves are
+    assembled from them (``_assemble``). An indecomposable C, or one whose
+    own decomposition hits a cap, is searched as one block.
+    """
+    maps: dict = {}  # candidate lists, shared by every search over this alphabet
+    search = _IsoSearch(C, C, group_mode=True, max_nodes=max_nodes, maps=maps)
+    dec = decomposition
+    if dec is None:
+        from .decompose import DEFAULT_PARTITION_BITS, decompose  # decompose imports this module
+        try:
+            dec = decompose(C, max_bits=DEFAULT_PARTITION_BITS if max_bits is None else max_bits,
+                            max_nodes=max_nodes)
+        except ResourceLimitError:
+            dec = None
+    elif dec.partition.n != C.length or any(
+            projection(C, block).words != comp.words
+            for block, comp in zip(dec.partition.blocks, dec.components)):
+        raise PreconditionError("the decomposition is not one of this code")
+    if dec is None or dec.indecomposable:
+        try:
+            leaves = search.run(find_all=True)
+        except ResourceLimitError as err:
+            raise _capped(search, "the whole code", err.partial_generators) from None
+        return search, leaves, ((0, len(leaves) * search.extension_count(leaves[0]), 1),)
+
+    rep_leaves: list[list[Leaf]] = []
+    rows = []
+    for t, (rep, alpha) in enumerate(dec.isotypes):
+        K = dec.components[rep]
+        if not isinstance(K, GroupCode):
+            raise PreconditionError("structure prediction needs group-code components")
+        ksearch = _IsoSearch(K, K, group_mode=True, max_nodes=max_nodes, maps=maps)
+        try:
+            rep_leaves.append(ksearch.run(find_all=True))
+        except ResourceLimitError as err:
+            found = _lifted(search, dec, rep_leaves + [err.partial_generators])
+            raise _capped(search, f"component {rep} (isotype {t})", found) from None
+        rows.append((t, len(rep_leaves[-1]) * ksearch.extension_count(rep_leaves[-1][0]), alpha))
+    count = math.prod(math.factorial(alpha) * len(kleaves)**alpha
+                      for (_, alpha), kleaves in zip(dec.isotypes, rep_leaves))
+    if count > max_nodes:
+        found = _lifted(search, dec, rep_leaves)
+        raise ResourceLimitError(
+            f"assembling {count} automorphism search leaves exceeds the cap of "
+            f"{max_nodes}; non-identity automorphisms found: {len(found)}",
+            partial_generators=_witnesses(search, found), incomplete=True)
+    return search, _assemble(search, dec, rep_leaves), tuple(rows)
+
+
+def _assemble(search: _IsoSearch, dec: "Decomposition",
+              rep_leaves: list[list[Leaf]]) -> list[Leaf]:
+    """Every leaf of C from the leaves of the isotype representatives.
+
+    Per isotype, a bijection ρ of its blocks and one representative leaf
+    a per block: block ρ(k) is carried onto block k by w_k∘a∘w_ρ(k)^-1,
+    with w the decomposition's isotype witnesses. The leaves are sorted
+    into the whole-code search's DFS order, lexicographic in (σ(0), k_0,
+    σ(1), k_1, ...) with k_j the position of restriction j in
+    ``_candidate_maps(σ(j), j)``, and carry the dicts of those lists.
+    """
+    q = search.q
+    blocks = dec.partition.blocks
+    span = math.factorial(q)  # more candidate maps than any list holds
+    indices: dict[int, dict[tuple[int, ...], tuple[int, dict[int, int]]]] = {}
+
+    def canonical(i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
+        cands = search._candidate_maps(i, j)
+        index = indices.get(id(cands))
+        if index is None:
+            index = indices[id(cands)] = {tuple(tb): (pos, f) for pos, (f, tb) in enumerate(cands)}
+        hit = index.get(tuple(table))
+        if hit is None:
+            raise TheoremViolationError(
+                f"an assembled restriction of coordinate {i} onto {j} is no "
+                f"subgroup isomorphism; decomposition or witnesses are buggy")
+        return hit
+
+    # block k's witness w_k: K -> D_k as (σ, maps), and its inverse
+    perms = [w.equiv.perm for w in dec.isotype_witnesses]
+    fmaps = [w.config.maps for w in dec.isotype_witnesses]
+    inv_perms = [sorted(range(len(perm)), key=perm.__getitem__) for perm in perms]
+    inv_maps = [[sorted(range(q), key=f.__getitem__) for f in fs] for fs in fmaps]
+
+    # parts[(k_in, k_out)][a]: σ, restrictions and sort keys over block
+    # k_out, as one tuple
+    parts: dict[tuple[int, int], list[tuple]] = {}
+    composed: dict[tuple[int, int, int], tuple[int, dict[int, int]]] = {}
+    for members, kleaves in zip(dec.isotype_members, rep_leaves):
+        for k_out in members:
+            for k_in in members:
+                options = parts[k_in, k_out] = []
+                for tau, restr in kleaves:
+                    sig, res, key = [], [], []
+                    for t, j in enumerate(blocks[k_out]):
+                        s = perms[k_out][t]
+                        u = inv_perms[k_in][tau[s]]
+                        i = blocks[k_in][u]
+                        f = restr[s]
+                        # i fixes k_in and u, j fixes k_out and t; leaves share restrictions
+                        hit = composed.get((i, j, id(f)))
+                        if hit is None:
+                            g, h = fmaps[k_out][t], inv_maps[k_in][u]
+                            table = [-1] * q
+                            for a in search.proj_in[i]:
+                                table[a] = g[f[h[a]]]
+                            hit = composed[i, j, id(f)] = canonical(i, j, table)
+                        sig.append(i)
+                        res.append(hit[1])
+                        key.append(i * span + hit[0])
+                    options.append(tuple(sig + res + key))
+
+    # where coordinate j's σ, restriction and key sit in the parts of
+    # blocks 0, 1, ... concatenated
+    at = [[0] * search.n for _ in range(3)]
+    offset = 0
+    for block in blocks:
+        for t, j in enumerate(block):
+            for field in range(3):
+                at[field][j] = offset + field * len(block) + t
+        offset += 3 * len(block)
+    sig_of, res_of, key_of = (itemgetter(*where) for where in at)
+    chain = itertools.chain.from_iterable
+    records = []
+    for rhos in itertools.product(*[itertools.permutations(m) for m in dec.isotype_members]):
+        source = [0] * len(blocks)
+        for members, rho in zip(dec.isotype_members, rhos):
+            for k_out, k_in in zip(members, rho):
+                source[k_out] = k_in
+        for combo in itertools.product(*[parts[source[k], k] for k in range(len(blocks))]):
+            flat = tuple(chain(combo))
+            records.append((key_of(flat), sig_of(flat), res_of(flat)))
+    records.sort(key=itemgetter(0))
+    return [(sig, res) for _, sig, res in records]
+
+
+def _is_identity_leaf(leaf: Leaf) -> bool:
+    sigma, restr = leaf
+    return (sigma == tuple(range(len(sigma)))
+            and all(a == b for f in restr for a, b in f.items()))
+
+
+def _lifted(search: _IsoSearch, dec: "Decomposition",
+            rep_leaves: Sequence[Sequence[Leaf]]) -> list[Leaf]:
+    """The non-identity leaves of the representatives searched so far, as
+    leaves of C that act on the representative's block only."""
+    found = []
+    for (rep, _), kleaves in zip(dec.isotypes, rep_leaves):
+        block = dec.partition.blocks[rep]
+        for tau, restr in kleaves:
+            if _is_identity_leaf((tau, restr)):
+                continue
+            sigma = list(range(search.n))
+            maps = [dict(zip(h, h)) for h in search.proj_in]
+            for t, j in enumerate(block):
+                sigma[j] = block[tau[t]]
+                maps[j] = restr[t]
+            found.append((tuple(sigma), tuple(maps)))
+    return found
+
+
+def _witnesses(search: _IsoSearch, leaves: Sequence[Leaf]) -> tuple[GroupCodeIso, ...]:
+    return tuple(GroupCodeIso(search.witness_from_leaf(leaf), search.C, search.C)
+                 for leaf in leaves)
+
+
+def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLimitError:
+    """The error of a capped automorphism search, with the non-identity
+    automorphisms found so far as partial generators."""
+    found = [leaf for leaf in found if not _is_identity_leaf(leaf)]
+    return ResourceLimitError(
+        f"automorphism search of {what} exceeded {search.max_nodes} nodes; "
+        f"non-identity automorphisms found: {len(found)}",
+        partial_generators=_witnesses(search, found), incomplete=True)
 
 
 def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:

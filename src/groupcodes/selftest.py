@@ -413,7 +413,9 @@ def check_automorphism_structure() -> CheckResult:
         predicted = 1
         for i, r in enumerate(reps):
             predicted *= aut_group(r).order ** counts[i] * math.factorial(counts[i])
-        got = aut_group(total).order
+        # max_bits=0 caps aut's own decomposition, so the whole code is
+        # searched as one block: independent of the assembly from components
+        got = aut_group(total, max_bits=0).order
         if got != predicted:
             return CheckResult("automorphism-structure", False,
                                f"sum order {got} != predicted {predicted}")

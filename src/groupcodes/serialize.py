@@ -27,15 +27,30 @@ def dumps(obj: Any) -> str:
     """The document as JSON, byte-identical to ``json.dumps(obj, indent=2) + "\\n"``.
 
     With an indent, ``json.dumps`` runs its pure-Python encoder; this writer
-    is a smaller recursive one that renders each all-int list once per
-    document, since automorphism reports repeat the same permutations and
-    alphabet maps many times. The memo lives for one call only. Dictionary
-    keys must be strings.
+    is a smaller recursive one that renders each all-int list, and each
+    list of non-empty all-int lists, once per document, since automorphism
+    reports repeat the same permutations and configurations many times.
+    The memo lives for one call only. Dictionary keys must be strings.
     """
     out: list[str] = []
     _write(obj, "\n", out, {})
     out.append("\n")
     return "".join(out)
+
+
+def _int_rows_text(obj: list | tuple, nl: str) -> str | None:
+    """The text of an all-int list or of a list of non-empty all-int lists,
+    whose own line starts after ``nl``; None for any other list."""
+    inner = nl + "  "
+    if all(type(x) is int for x in obj):
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+    if all(type(row) in (list, tuple) and row and all(type(x) is int for x in row)
+           for row in obj):
+        deeper = inner + "  "
+        rows = ["[" + deeper + ("," + deeper).join(map(int.__repr__, row)) + inner + "]"
+                for row in obj]
+        return "[" + inner + ("," + inner).join(rows) + nl + "]"
+    return None
 
 
 def _write(obj: Any, nl: str, out: list[str], memo: dict[tuple[str, str], str]) -> None:
@@ -45,12 +60,17 @@ def _write(obj: Any, nl: str, out: list[str], memo: dict[tuple[str, str], str]) 
             out.append("[]")
             return
         inner = nl + "  "
-        if type(obj[0]) is int:
+        first = obj[0]
+        if type(first) is int or (type(first) in (list, tuple) and first
+                                   and type(first[0]) is int):
             # repr tells 1 from True and 1.0, so a hit is an all-int list
+            # or a list of them
             key = (nl, repr(obj))
             text = memo.get(key)
-            if text is None and all(type(x) is int for x in obj):
-                text = memo[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]"
+            if text is None:
+                text = _int_rows_text(obj, nl)
+                if text is not None:
+                    memo[key] = text
             if text is not None:
                 out.append(text)
                 return

@@ -1,0 +1,173 @@
+"""Differential tests of the automorphism group assembled from the
+decomposition (``isomorphy._aut_leaves``) against the whole-code search
+``_IsoSearch(C, C).run(find_all=True)``, its oracle."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import groupcodes as gc
+from groupcodes import serialize as ser
+from groupcodes.errors import PreconditionError, ResourceLimitError
+from groupcodes.isomorphy import _aut_leaves, _IsoSearch
+
+S3 = ser.alphabet_from_json({"kind": "table", "label": "S3", "table": [
+    [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+    [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]})
+# total length per alphabet, small enough for the whole-code search
+ALPHABETS = [(gc.cyclic_group(2), 6), (gc.cyclic_group(3), 5), (gc.cyclic_group(4), 4),
+             (gc.klein_four_group(), 4), (S3, 4)]
+
+
+@st.composite
+def parts(draw, G, n):
+    """A small group code of length n, the trivial code (a zero coordinate)
+    one time in four."""
+    if draw(st.integers(0, 3)) == 0:
+        return gc.GroupCode.from_words(G, n, [(G.identity,) * n])
+    words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    return gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=2)))
+
+
+@st.composite
+def scrambled_sums(draw):
+    """A direct sum with repeated parts, its coordinates permuted and each
+    relabelled by an automorphism of the alphabet."""
+    G, budget = draw(st.sampled_from(ALPHABETS))
+    summands = []
+    while budget > 0 and len(summands) < 4:
+        n = draw(st.integers(1, min(2, budget)))
+        part = draw(parts(G, n))
+        copies = draw(st.integers(1, budget // n))
+        summands += [part] * copies
+        budget -= n * copies
+        if draw(st.booleans()):
+            break
+    total = gc.direct_sum_all(summands)
+    perm = draw(st.permutations(range(total.length)))
+    auts = gc.automorphisms(G)
+    maps = tuple(draw(st.sampled_from(auts)).mapping for _ in perm)
+    phi = gc.Isometry(gc.Configuration(maps), gc.Equivalence(tuple(perm)))
+    return gc.GroupCode.from_words(G, total.length, gc.apply_to_code(phi, total).words)
+
+
+def restrictions(leaves):
+    return [(sigma, [dict(f) for f in restr]) for sigma, restr in leaves]
+
+
+def report_text(report) -> str:
+    return ser.dumps(ser.aut_report_to_json(report))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scrambled_sums(), st.sampled_from([1, 50, 10**4]))
+def test_assembled_leaves_and_reports_match_the_whole_code_search(C, explicit_cap):
+    oracle = _IsoSearch(C, C, group_mode=True)
+    expected = oracle.run(find_all=True)
+    search, leaves, rows = _aut_leaves(C, None, max_nodes=10**6, max_bits=None)
+    assert restrictions(leaves) == restrictions(expected)  # same list, same order
+    # the restrictions are the search's canonical dicts
+    for sigma, restr in leaves:
+        for j, f in enumerate(restr):
+            assert any(f is g for g, _ in search._candidate_maps(sigma[j], j))
+    # max_bits=0 caps the decomposition, so C is searched as one block
+    report = gc.aut_group(C, explicit_cap=explicit_cap)
+    assert report_text(report) == report_text(gc.aut_group(C, explicit_cap=explicit_cap,
+                                                           max_bits=0))
+    dec = gc.decompose(C)
+    structured = gc.aut_group(C, dec, explicit_cap=explicit_cap)
+    assert structured.order == report.order
+    assert structured.generators == report.generators
+    assert structured.elements == report.elements
+    for t, (rep, alpha) in enumerate(dec.isotypes):
+        K = dec.components[rep]
+        ksearch = _IsoSearch(K, K, group_mode=True)
+        kleaves = ksearch.run(find_all=True)
+        assert structured.structure[t] == (t, len(kleaves) * ksearch.extension_count(kleaves[0]),
+                                           alpha)
+
+
+S3_DIAG2 = [(a, a) for a in range(6)]
+A3 = (0, 3, 4)
+
+
+def conjugate(x: int) -> int:
+    """x under the inner automorphism of S3 by the transposition 1."""
+    return S3.table[S3.table[1][x]][1]
+
+
+@pytest.mark.parametrize("words", [
+    # two S3 diagonals, one with conjugated coordinates, interleaved
+    [(conjugate(x[1]), y[0], x[0], conjugate(y[1])) for x in S3_DIAG2 for y in S3_DIAG2],
+    # the S3 diagonal, A3 twice and a zero coordinate, interleaved
+    [(x[0], a, 0, x[1], c) for x in S3_DIAG2 for a in A3 for c in A3],
+], ids=["s3_diag2_twice", "s3_mixed"])
+def test_s3_sums_match_the_whole_code_search(words):
+    C = gc.GroupCode.from_words(S3, len(words[0]), words)
+    assert len(gc.decompose(C).components) > 1
+    expected = _IsoSearch(C, C, group_mode=True).run(find_all=True)
+    _, leaves, _ = _aut_leaves(C, None, max_nodes=10**6, max_bits=None)
+    assert restrictions(leaves) == restrictions(expected)
+
+
+def d_sum(code_d, copies):
+    return gc.direct_sum_all([code_d] * copies)
+
+
+def test_aut_of_d4_assembles_every_leaf(code_d):
+    C = d_sum(code_d, 4)
+    search, leaves, _ = _aut_leaves(C, None, max_nodes=10**6, max_bits=None)
+    assert len(leaves) == 31104
+    assert search.nodes == 0  # no whole-code search ran
+    report = gc.aut_group(C)
+    assert report.order == 31104 and report.elements is None
+
+
+def test_component_cap_reports_only_non_identity_automorphisms(code_d):
+    C = d_sum(code_d, 2)
+    # D's identity leaf comes within 5 nodes, then the cap: nothing else found
+    with pytest.raises(ResourceLimitError) as err:
+        gc.aut_group(C, max_nodes=5)
+    assert err.value.incomplete and err.value.partial_generators == ()
+    assert "component 0 (isotype 0)" in str(err.value)
+    assert "non-identity automorphisms found: 0" in str(err.value)
+
+
+def test_assembly_cap_counts_leaves_before_building_them(code_d):
+    # each search of D visits 16 nodes and finds 6 leaves; D^3 has 6^3 * 3! = 1296
+    C = d_sum(code_d, 3)
+    with pytest.raises(ResourceLimitError) as err:
+        gc.aut_group(C, max_nodes=1000)
+    assert "assembling 1296 automorphism search leaves" in str(err.value)
+    partial = err.value.partial_generators
+    assert len(partial) == 5  # D's non-identity automorphisms, on the first block
+    for witness in partial:
+        assert witness.source is C and witness.verify()
+        assert witness.iso.equiv.perm[3:] == tuple(range(3, 9))
+    # a leaf is a node, so the whole-code search hits the same cap
+    oracle = _IsoSearch(C, C, group_mode=True, max_nodes=1000)
+    with pytest.raises(ResourceLimitError):
+        oracle.run(find_all=True)
+
+
+def test_whole_code_cap_drops_the_identity(code_d):
+    # D is indecomposable; its search finds the identity and two more leaves
+    # within 10 of its 16 nodes
+    with pytest.raises(ResourceLimitError) as err:
+        gc.aut_group(code_d, max_nodes=10)
+    assert "the whole code" in str(err.value)
+    partial = [w.iso for w in err.value.partial_generators]
+    assert len(partial) == 2 and gc.identity_isometry(2, 3) not in partial
+
+
+def test_partition_cap_falls_back_to_the_whole_code_search(code_d):
+    C = d_sum(code_d, 2)
+    capped = gc.aut_group(C, max_bits=2)
+    assert report_text(capped) == report_text(gc.aut_group(C))
+
+
+def test_foreign_decomposition_is_rejected(code_d, rep3):
+    dec = gc.decompose(gc.direct_sum(code_d, rep3))
+    with pytest.raises(PreconditionError):
+        gc.aut_group(gc.direct_sum(rep3, code_d), dec)

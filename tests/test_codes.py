@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -202,6 +203,23 @@ def test_word_validation(z2):
         gc.Code.from_words(z2, 2, [(0, 1, 1)])
     with pytest.raises(PreconditionError):
         gc.Code.from_words(z2, 2, [])
+
+
+@pytest.mark.parametrize("words", [
+    ["01", "10"], [(0, "1")], [(True, 0), (0, 1)], [(True, 0.9), (0, 1)], [(0, 1.0)],
+    [(0, None)]])
+def test_word_validation_rejects_non_int_symbols(z2, words):
+    # int() used to turn these into words: "01" into (0, 1), (True, 0.9) into (1, 0)
+    with pytest.raises(InvalidWordError):
+        gc.Code.from_words(z2, 2, words)
+    with pytest.raises(InvalidWordError):
+        gc.GroupCode.generate(z2, 2, words)
+
+
+def test_word_validation_takes_numpy_ints(z2):
+    C = gc.Code.from_words(z2, 2, [np.array([0, 1]), (np.int64(1), 0)])
+    assert C.words == ((0, 1), (1, 0))
+    assert all(type(s) is int for w in C.words for s in w)
 
 
 def test_group_shift_distance_identity(corpus):

@@ -86,6 +86,7 @@ def v4_relabel(words, perm, autos) -> list:
 V4_SUM0 = [(a, b, a ^ b) for a in range(4) for b in range(4)]
 V4_REP2 = [(a, a) for a in range(4)]
 V4_ID, V4_SWAP, V4_SHEAR = (0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)
+S3_DIAG2 = [(a, a) for a in range(6)]
 
 CORPUS = {
     # the documents of tests/test_cli.py
@@ -121,6 +122,15 @@ CORPUS = {
                 "group": True},
     "s3_a3": group_doc(S3, [(a, b, b) for a in A3 for b in range(6)]),
     "s3_a3_perm": group_doc(S3, [(b, a, b) for a in A3 for b in range(6)]),
+    # the trivial Z/4 code of length 4 (order 31104: generators only), a
+    # repeated S3 isotype with conjugated coordinates, and a V4 sum with a
+    # zero coordinate
+    "z4_trivial4": cyclic_doc(4, 4, [(0, 0, 0, 0)]),
+    "s3_diag2_twice": group_doc(S3, [(conjugate(x[1]), y[0], x[0], conjugate(y[1]))
+                                     for x in S3_DIAG2 for y in S3_DIAG2]),
+    "v4_zero": group_doc(V4, v4_relabel([x + y + (0,) for x in V4_REP2 for y in V4_REP2],
+                                        (2, 4, 0, 3, 1),
+                                        (V4_SHEAR, V4_ID, V4_SWAP, V4_ID, V4_SHEAR))),
 }
 
 CASES = {
@@ -163,6 +173,11 @@ CASES = {
     "aut_s3_a3": ["aut", "s3_a3"],
     "aut_structure_v4": ["aut", "v4_mix", "--with-structure"],
     "aut_structure_s3_a3": ["aut", "s3_a3", "--with-structure"],
+    "aut_z4_trivial4": ["aut", "z4_trivial4"],
+    "aut_s3_twice": ["aut", "s3_diag2_twice"],
+    "aut_structure_s3_twice": ["aut", "s3_diag2_twice", "--with-structure"],
+    "aut_v4_zero": ["aut", "v4_zero"],
+    "aut_structure_v4_zero": ["aut", "v4_zero", "--with-structure"],
     "iso_v4": ["iso", "v4_mix", "v4_mix_b"],
     "iso_s3_conj": ["iso", "s3_diag", "s3_diag_conj"],
     "iso_s3_perm": ["iso", "s3_a3", "s3_a3_perm"],

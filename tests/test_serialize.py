@@ -166,6 +166,24 @@ def test_dumps_memo_tells_bools_and_floats_from_ints(rows, ints_first):
     assert ser.dumps(doc) == reference_dumps(doc)
 
 
+int_rows = st.lists(st.lists(st.sampled_from([0, 1, 2, True, False, 0.0, 1.0]), max_size=3),
+                    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(int_rows, min_size=1, max_size=4), st.integers(1, 3), st.booleans(),
+       st.booleans())
+def test_dumps_memo_of_int_rows_tells_twins_apart(configs, repeats, ints_first, as_tuples):
+    # repeated configurations, each next to its all-int twin (equal, and
+    # equally hashed) and at two depths: no text may pass between them
+    twins = [[[int(x) for x in row] for row in config] for config in configs]
+    if as_tuples:
+        twins = [tuple(tuple(row) for row in config) for config in twins]
+    configs = (twins + configs if ints_first else configs + twins) * repeats
+    doc = {"elements": [{"sigma": [1, 2], "config": c} for c in configs], "deeper": [configs]}
+    assert ser.dumps(doc) == reference_dumps(doc)
+
+
 @pytest.mark.parametrize("doc", [
     [], {}, [[]], [{}], {"a": []}, "", "naïve ∘ σ̄   \"quoted\"\n",
     [1, True, 0, False, None], [True, 1], [1, True], [[1, 0], [True, False], [1.0, 0], [1, 0]],
@@ -173,6 +191,7 @@ def test_dumps_memo_tells_bools_and_floats_from_ints(rows, ints_first):
     [float("nan"), float("inf"), -float("inf")],
     (1, 2, (3, [4])),
     {"order": 6, "generators": [{"sigma": [1, 2, 3], "config": [[0, 1]] * 3}] * 2},
+    [[1, 0], [2]], [[1, 0], []], [[1, 0], [True]], [[1], 2], [[1], [[2]]], [(1, 0), [1, 0]],
 ])
 def test_dumps_matches_json_module_on_edge_cases(doc):
     assert ser.dumps(doc) == reference_dumps(doc)
