@@ -221,7 +221,7 @@ def cmd_aut(args: argparse.Namespace, phases: Phases) -> int:
             _emit(partial, args.format)
         return EXIT_RESOURCE
     with phases("report"):
-        _emit(serialize.aut_report_to_json(report), args.format)
+        sys.stdout.write(serialize.aut_report_dumps(report))
     return EXIT_OK
 
 

@@ -13,15 +13,20 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (ClosureError, IncompatibleError, InvalidWordError, PreconditionError,
                      TheoremViolationError)
 from .groups import FiniteGroup, word_closure
 
+if TYPE_CHECKING:
+    import numpy as np
+
 Word = tuple[int, ...]
+
+# Kernels switch to numpy only for codes with more words than this: below
+# it, pure-Python scans are as fast, and most processes never load numpy.
+NUMPY_ABOVE_WORDS = 64
 
 
 def hamming_distance(x: Word, y: Word) -> int:
@@ -87,6 +92,7 @@ class Code:
 
     @cached_property
     def word_array(self) -> np.ndarray:
+        import numpy as np
         return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.length)
 
     @property
@@ -171,7 +177,7 @@ def min_distance(C: Code) -> int:
     m = C.size
     if m < 2:
         return C.length + 1
-    if m > 64:
+    if m > NUMPY_ABOVE_WORDS:
         arr = C.word_array
         best = C.length
         for i in range(m - 1):

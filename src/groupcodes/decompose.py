@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from .classify import constant_weight_group, is_degenerate, is_mds, is_perfect, is_trivial
-from .codes import Code, GroupCode, direct_sum_all, projection
+from .codes import NUMPY_ABOVE_WORDS, Code, GroupCode, direct_sum_all, projection
 from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from .isometry import Configuration, Equivalence, Isometry, apply_to_code, identity_isometry
 from .isomorphy import DEFAULT_MAX_NODES, code_equivalent, gc_isomorphic
@@ -72,8 +71,9 @@ def indecomposability_certificate(C: Code) -> str | None:
 class _ProjCounter:
     """Memoized projection cardinalities keyed by coordinate bitmask.
 
-    Subsets are packed into integers column by column when the packed
-    values fit in int64; otherwise falls back to tuple sets.
+    Above ``NUMPY_ABOVE_WORDS`` words, subsets are packed into integers
+    column by column with numpy when the packed values fit in int64;
+    otherwise the projected words are counted as a set.
     """
 
     def __init__(self, C: Code) -> None:
@@ -81,8 +81,7 @@ class _ProjCounter:
         self.q = C.alphabet.order
         self.n = C.length
         self.cache: dict[int, int] = {}
-        self.packable = self.q ** self.n < 2**62
-        self.arr = C.word_array if self.packable else None
+        self.packed = C.size > NUMPY_ABOVE_WORDS and self.q ** self.n < 2**62
 
     def card(self, coords: tuple[int, ...]) -> int:
         mask = 0
@@ -91,12 +90,14 @@ class _ProjCounter:
         hit = self.cache.get(mask)
         if hit is not None:
             return hit
-        if self.packable and len(self.C.words) > 16:
+        if self.packed:
+            import numpy as np
             weights = np.array([self.q ** t for t in range(len(coords))], dtype=np.int64)
-            packed = self.arr[:, list(coords)] @ weights
+            packed = self.C.word_array[:, list(coords)] @ weights
             value = int(np.unique(packed).size)
         else:
-            value = len({tuple(w[i] for i in coords) for w in self.C.words})
+            # one coordinate gives bare symbols, as distinct as 1-tuples
+            value = len(set(map(itemgetter(*coords), self.C.words)))
         self.cache[mask] = value
         return value
 
@@ -204,6 +205,9 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
             f"partition search capped at {max_bits} coordinates, code has {C.length}",
             certificate=indecomposability_certificate(C))
     blocks: list[tuple[int, ...]] = []
+    # the certificate of each block the recursion certified; a leaf has
+    # the words of its final component
+    certified: dict[tuple[int, ...], str | None] = {}
 
     def rec(indices: tuple[int, ...], code: Code) -> None:
         if len(indices) == 1:
@@ -218,9 +222,13 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
             if keep:
                 rec(tuple(indices[p] for p in keep), projection(code, keep))
             return
-        J = is_decomposable(code, max_bits=max_bits, use_certificates=use_certificates)
+        tag = indecomposability_certificate(code) if use_certificates else None
+        J = None if tag is not None else is_decomposable(code, max_bits=max_bits,
+                                                         use_certificates=False)
         if J is None:
             blocks.append(indices)
+            if use_certificates:
+                certified[indices] = tag
             return
         K = tuple(p for p in range(code.length) if p not in set(J))
         rec(tuple(indices[p] for p in J), projection(code, J))
@@ -230,7 +238,8 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     blocks.sort(key=lambda b: b[0])
     partition = Partition(tuple(blocks))
     components = tuple(projection(C, b) for b in blocks)
-    certificates = tuple(indecomposability_certificate(comp) for comp in components)
+    certificates = tuple(certified[b] if b in certified else indecomposability_certificate(comp)
+                         for b, comp in zip(blocks, components))
 
     group_mode = isinstance(C, GroupCode)
     rep_indices: list[int] = []

@@ -180,10 +180,9 @@ def to_points(iso: Isometry) -> tuple[int, ...]:
     q = len(maps[0]) if maps else 0
     if any(len(f) != q for f in maps):
         raise IncompatibleError("the point form needs one alphabet on every coordinate")
-    points = [0] * (q * len(perm))
-    for j, (i, f) in enumerate(zip(perm, maps)):
-        points[i * q:(i + 1) * q] = [j * q + t for t in f]
-    return tuple(points)
+    # input coordinate i is σ(j) for j = inv[i]
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple([j * q + t for j in inv for t in maps[j]])
 
 
 def from_points(points: Sequence[int], q: int) -> Isometry:

@@ -28,14 +28,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
                     projection, word_mul)
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import CosetClosure, subgroup_isomorphisms, word_closure
-from .isometry import Isometry, compose, from_points, identity_isometry, to_points
+from .isometry import Isometry, from_points, identity_isometry, to_points
 from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
@@ -133,7 +133,7 @@ class _IsoSearch:
         self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
         self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = (
             {} if maps is None else maps)
-        self._extension_cache: dict[tuple[int, int, int], tuple] = {}
+        self._extension_cache: dict[int, tuple] = {}
 
     def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
         """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
@@ -240,22 +240,21 @@ class _IsoSearch:
             f[a] = b
         return tuple(f)
 
-    def _extensions(self, i: int, j: int, restriction: dict[int, int]
-                    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    def _extensions(self, i: int, j: int, restriction: dict[int, int]) -> list[tuple[int, ...]]:
         """Every bijective extension f of a restriction pi_i(C) -> pi_j(D) to
-        the whole alphabet, sorted, and for each the images (j, f(s)) of the
-        points (i, s); cached, since leaves share restrictions."""
+        the whole alphabet, sorted; cached, since leaves share restrictions.
+
+        A restriction dict belongs to the candidate list of one pair of
+        projections (``_candidate_maps``), which fixes both complements, so
+        the dict alone keys its extensions."""
         # the entry holds the restriction itself, so its id stays unique
-        key = (i, j, id(restriction))
-        entry = self._extension_cache.get(key)
+        entry = self._extension_cache.get(id(restriction))
         if entry is None:
-            base = j * self.q
             # permutations of the sorted complement come in lexicographic order
-            fs = [self._extension(i, restriction, image)
-                  for image in itertools.permutations(self.comp_out[j])]
-            entry = self._extension_cache[key] = (
-                restriction, fs, [tuple([base + t for t in f]) for f in fs])
-        return entry[1], entry[2]
+            entry = self._extension_cache[id(restriction)] = (
+                restriction, [self._extension(i, restriction, image)
+                              for image in itertools.permutations(self.comp_out[j])])
+        return entry[1]
 
     def witness_from_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> Isometry:
         """Canonical extension: complements map onto each other in sorted order."""
@@ -268,23 +267,13 @@ class _IsoSearch:
         the same for every leaf since σ permutes the input coordinates."""
         return math.prod(math.factorial(len(comp)) for comp in self.comp_in)
 
-    def leaf_points(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]
-                    ) -> list[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-        """All ambient isometries over one leaf, every bijective extension,
-        as (maps, point form) with the maps in lexicographic order."""
+    def leaf_maps(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]
+                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """The per-coordinate maps of every ambient isometry over one leaf,
+        every bijective extension, in lexicographic order."""
         sigma, restr = leaf
-        per_coord = [self._extensions(sigma[j], j, restr[j]) for j in range(self.n)]
-        inv = [0] * self.n
-        for j, i in enumerate(sigma):
-            inv[i] = j
-        chain = itertools.chain.from_iterable
-        maps = itertools.product(*[fs for fs, _ in per_coord])
-        blocks = itertools.product(*[bs for _, bs in per_coord])
-        return [(m, tuple(chain([b[j] for j in inv]))) for m, b in zip(maps, blocks)]
-
-    def expand_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> list[Isometry]:
-        """All ambient isometries over one leaf: every bijective extension."""
-        return [Isometry._build(maps, leaf[0]) for maps, _ in self.leaf_points(leaf)]
+        return itertools.product(*[self._extensions(sigma[j], j, restr[j])
+                                   for j in range(self.n)])
 
 
 def _weight_distribution(C: GroupCode) -> Counter:
@@ -356,27 +345,6 @@ class AutGroupReport:
     complete: bool = True
 
 
-def _mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
-    """Close a set of isometries under composition (finite, so a group).
-
-    Restarts from the generators; the test oracle for ``groups.CosetClosure``.
-    """
-    if not gens:
-        return set()
-    closed: set[Isometry] = set(gens)
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = compose(x, g)
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-                if cap is not None and len(closed) > cap:
-                    raise ResourceLimitError(f"closure exceeded {cap} elements")
-    return closed
-
-
 def _point_closure(degree: int, key=None) -> CosetClosure:
     """A CosetClosure over point forms (see ``isometry.to_points``), with
     P_a∘P_b = ``itemgetter(*b)(a)`` as in ``isometry.compose_points``; the
@@ -384,18 +352,11 @@ def _point_closure(degree: int, key=None) -> CosetClosure:
     return CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t), key)
 
 
-def _greedy_picks(points: Sequence[tuple[int, ...]]) -> list[int]:
-    """Greedy generators over the point forms of all elements of a group:
-    the index of each element not generated by the ones taken before it."""
-    return _point_closure(len(points[0])).greedy(points, len(points))
-
-
-def _greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
-    """Greedy generators over the elements of a group, in the given order:
-    take each element not generated by the ones taken before it."""
-    if not elements:
-        return ()
-    return tuple(elements[k] for k in _greedy_picks([to_points(el) for el in elements]))
+def _greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> list[int]:
+    """Greedy generators over the point forms of all ``size`` elements of a
+    group: the index of each element not generated by the ones taken before
+    it. The forms are read lazily, and only until the group is generated."""
+    return _point_closure(degree).greedy(points, size)
 
 
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
@@ -429,13 +390,12 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
     elements: tuple[Isometry, ...] | None
     if order <= explicit_cap:
         with phases("elements"):
-            # sorted by (σ, maps); the point forms ride along for the closure
-            expanded = [(leaf[0], maps, points)
-                        for leaf in leaves for maps, points in search.leaf_points(leaf)]
-            expanded.sort()
-            elements = tuple(Isometry._build(maps, sigma) for sigma, maps, _ in expanded)
+            expanded = [(leaf[0], maps) for leaf in leaves for maps in search.leaf_maps(leaf)]
+            expanded.sort()  # by (σ, maps)
+            elements = tuple([Isometry._build(maps, sigma) for sigma, maps in expanded])
         with phases("generators"):
-            gen_isos = tuple(elements[k] for k in _greedy_picks([p for _, _, p in expanded]))
+            picks = _greedy_picks(map(to_points, elements), q * n, order)
+            gen_isos = tuple(elements[k] for k in picks)
     else:
         elements = None
         with phases("generators"):

@@ -4,13 +4,17 @@ decomposition (``isomorphy._aut_leaves``) against the whole-code search
 
 from __future__ import annotations
 
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes import serialize as ser
 from groupcodes.errors import PreconditionError, ResourceLimitError
-from groupcodes.isomorphy import _aut_leaves, _IsoSearch
+from groupcodes.isometry import to_points
+from groupcodes.isomorphy import _aut_leaves, _greedy_picks, _IsoSearch
+from oracles import aut_report_to_json
 
 S3 = ser.alphabet_from_json({"kind": "table", "label": "S3", "table": [
     [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
@@ -57,7 +61,7 @@ def restrictions(leaves):
 
 
 def report_text(report) -> str:
-    return ser.dumps(ser.aut_report_to_json(report))
+    return ser.aut_report_dumps(report)
 
 
 @settings(max_examples=120, deadline=None)
@@ -171,3 +175,59 @@ def test_foreign_decomposition_is_rejected(code_d, rep3):
     dec = gc.decompose(gc.direct_sum(code_d, rep3))
     with pytest.raises(PreconditionError):
         gc.aut_group(gc.direct_sum(rep3, code_d), dec)
+
+
+# the aut report writer and the generator choice --------------------------
+
+# the trivial Z/4 code of length 2: 72 automorphisms over 2 coordinate
+# permutations, so elements share σ and differ in their maps
+Z4_TRIVIAL2 = gc.GroupCode.from_words(gc.cyclic_group(4), 2, [(0, 0)])
+
+
+def oracle_text(report) -> str:
+    """The report through the element-dict document and the json module."""
+    return json.dumps(aut_report_to_json(report), indent=2) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(scrambled_sums(), st.booleans(), st.sampled_from([1, 10**4]))
+@example(Z4_TRIVIAL2, False, 10**4)
+def test_elements_writer_matches_the_element_dict_report(C, with_structure, explicit_cap):
+    dec = gc.decompose(C) if with_structure else None
+    report = gc.aut_group(C, dec, explicit_cap=explicit_cap)
+    assert ser.aut_report_dumps(report) == oracle_text(report)
+
+
+def test_elements_writer_on_elements_that_share_sigma():
+    report = gc.aut_group(Z4_TRIVIAL2)
+    perms = [el.equiv.perm for el in report.elements]
+    assert report.order == 72 and len(set(perms)) == 2
+    assert ser.aut_report_dumps(report) == oracle_text(report)
+
+
+def eager_points(el) -> tuple[int, ...]:
+    """The point form, built slice by slice: (σ(j), s) goes to (j, f_j(s))."""
+    maps, perm = el.config.maps, el.equiv.perm
+    q = len(maps[0])
+    points = [0] * (q * len(perm))
+    for j, (i, f) in enumerate(zip(perm, maps)):
+        points[i * q:(i + 1) * q] = [j * q + t for t in f]
+    return tuple(points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scrambled_sums())
+@example(Z4_TRIVIAL2)
+def test_point_forms_on_demand_give_the_eager_greedy_picks(C):
+    report = gc.aut_group(C)
+    assume(report.elements is not None)
+    elements = report.elements
+    degree, size = C.alphabet.order * C.length, len(elements)
+    eager = [eager_points(el) for el in elements]
+    assert eager == [to_points(el) for el in elements]
+    read = []
+    lazy = (read.append(el) or to_points(el) for el in elements)
+    picks = _greedy_picks(lazy, degree, size)
+    assert picks == _greedy_picks(eager, degree, size)
+    assert tuple(g.iso for g in report.generators) == tuple(elements[k] for k in picks)
+    assert read == list(elements[:len(read)])  # read in order, and only until generated

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groupcodes as gc
+from groupcodes.codes import NUMPY_ABOVE_WORDS
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT,
-                                  CERT_PRIME)
+                                  CERT_PRIME, _ProjCounter)
 from groupcodes.errors import PreconditionError, ResourceLimitError
 from groupcodes.catalog import binary_repetition, repetition_code
+
+# the module, which the package's decompose function shadows as an attribute
+dmod = importlib.import_module("groupcodes.decompose")
 
 
 def exhaustive_split_search(C):
@@ -209,3 +215,66 @@ def test_decompose_length_cap():
         gc.decompose(binary_repetition(25))
     dec = gc.decompose(binary_repetition(25), max_bits=25)
     assert dec.indecomposable
+
+
+def test_decompose_evaluates_each_certificate_once(code_d, monkeypatch):
+    # D+D+R2: the whole code, its D+R2 part and the three components are
+    # each certified once (8 calls when the components were certified
+    # again), and the components' certificates are the recursion's
+    rep2 = binary_repetition(2)
+    total = gc.direct_sum_all([code_d, code_d, rep2])
+    calls = []
+    original = dmod.indecomposability_certificate
+
+    def counted(C):
+        calls.append(C.words)
+        return original(C)
+
+    monkeypatch.setattr(dmod, "indecomposability_certificate", counted)
+    dec = gc.decompose(total)
+    expected = [total, code_d, gc.direct_sum(code_d, rep2), code_d, rep2]
+    assert sorted(calls) == sorted(C.words for C in expected)
+    assert dec.certificates == tuple(original(comp) for comp in dec.components)
+    assert dec.certificates == (CERT_MDS, CERT_MDS, CERT_MDS)
+
+
+def test_uncertified_blocks_get_their_certificates_at_the_end(code_d, z2, monkeypatch):
+    # a constant coordinate and a run without certificates: every block is
+    # certified after the recursion, once
+    zero = gc.GroupCode.from_words(z2, 1, [(0,)])
+    total = gc.direct_sum_all([code_d, zero, binary_repetition(3)])
+    calls = []
+    original = dmod.indecomposability_certificate
+    monkeypatch.setattr(dmod, "indecomposability_certificate",
+                        lambda C: calls.append(C.words) or original(C))
+    for use_certificates in (True, False):
+        calls.clear()
+        dec = gc.decompose(total, use_certificates=use_certificates)
+        assert dec.certificates == tuple(original(comp) for comp in dec.components)
+        if not use_certificates:
+            assert sorted(calls) == sorted(comp.words for comp in dec.components)
+
+
+ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4), gc.klein_four_group()]
+
+
+@st.composite
+def counted_codes(draw):
+    """A random group code or plain code over Z/2, Z/3, Z/4 or V4, with up
+    to a few hundred words, so on both sides of NUMPY_ABOVE_WORDS."""
+    G = draw(st.sampled_from(ALPHABETS))
+    n = draw(st.integers(1, 9 if G.order == 2 else 5))
+    words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    if draw(st.booleans()):
+        return gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=4)))
+    return gc.Code.from_words(G, n, draw(st.lists(words, min_size=1, max_size=200)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(counted_codes(), st.data())
+def test_projection_counter_matches_a_tuple_set_count(C, data):
+    counter = _ProjCounter(C)
+    assert counter.packed == (C.size > NUMPY_ABOVE_WORDS)
+    for _ in range(4):
+        coords = tuple(sorted(data.draw(st.sets(st.integers(0, C.length - 1), min_size=1))))
+        assert counter.card(coords) == len({tuple(w[i] for i in coords) for w in C.words})

@@ -1,0 +1,88 @@
+"""numpy is loaded on first use, only by the kernels for codes above
+``NUMPY_ABOVE_WORDS`` words; each check runs in a fresh interpreter."""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+D = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+
+
+def run(script: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+CLI_RUN = """
+import contextlib, io, json, sys
+import groupcodes.cli
+{patch}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = groupcodes.cli.main(sys.argv[1:])
+print(json.dumps({{"exit": code, "numpy": "numpy" in sys.modules, "stdout": out.getvalue()}}))
+"""
+
+
+def cli_run(argv: list[str], patch: str = "") -> dict:
+    return json.loads(run(CLI_RUN.format(patch=patch), *argv))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert run("import sys, groupcodes.cli; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_aut_on_a_code_of_64_words_runs_without_numpy(tmp_path):
+    # over Z/2, |Aut(D)| = |Aut(R3)| = 3! = 6: D + D + R3 has 32 words and
+    # 6^2 * 2! * 6 automorphisms; D + D + D has 64 words and 6^3 * 3!
+    for parts, order in (([D, D, [(0, 0, 0), (1, 1, 1)]], 432), ([D, D, D], 1296)):
+        words = [sum(combo, ()) for combo in itertools.product(*parts)]
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2},
+                                    "length": len(words[0]), "group": True,
+                                    "codewords": [list(w) for w in words]}))
+        got = cli_run(["aut", str(path), "--with-structure"])
+        assert got["exit"] == 0 and not got["numpy"]
+        assert json.loads(got["stdout"])["order"] == order
+
+
+def scrambled_d4() -> tuple[list, list]:
+    """D^4 over Z/2 (256 words) with its coordinates permuted, and the
+    blocks the permutation makes of D's four copies, 1-based."""
+    words = [sum(combo, ()) for combo in itertools.product(D, repeat=4)]
+    perm = list(range(12))
+    random.Random(4).shuffle(perm)
+    scrambled = sorted(tuple(w[perm[j]] for j in range(12)) for w in words)
+    inv = {i: j for j, i in enumerate(perm)}
+    blocks = sorted(sorted(inv[i] + 1 for i in range(3 * k, 3 * k + 3)) for k in range(4))
+    return scrambled, blocks
+
+
+def test_decompose_above_64_words_loads_numpy_and_matches_the_pure_python_run(tmp_path):
+    words, blocks = scrambled_d4()
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 12,
+                                "group": True, "codewords": [list(w) for w in words]}))
+    got = cli_run(["decompose", str(path)])
+    assert got["exit"] == 0 and got["numpy"]
+    report = json.loads(got["stdout"])
+    assert report["blocks"] == blocks
+    assert [iso["alpha"] for iso in report["isotypes"]] == [4]
+    assert report["certificates"] == ["mds-nontrivial"] * 4
+    # the same bytes with every kernel on its pure-Python path
+    pure = cli_run(["decompose", str(path)], patch=(
+        "import importlib\n"
+        "for name in ('groupcodes.codes', 'groupcodes.decompose'):\n"
+        "    importlib.import_module(name).NUMPY_ABOVE_WORDS = 10**9\n"))
+    assert not pure["numpy"] and pure == dict(got, numpy=False)

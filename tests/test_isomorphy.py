@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 import groupcodes as gc
 from groupcodes.catalog import repetition_code
 from groupcodes.errors import IncompatibleError, ResourceLimitError
-from groupcodes.isomorphy import (_greedy_generators, _IsoSearch, _large_order_generators,
-                                  _mul_closure, _symmetric_generators)
+from groupcodes.isomorphy import _IsoSearch, _large_order_generators, _symmetric_generators
+from oracles import expand_leaf, greedy_generators, mul_closure
 
 
 def brute_force_gc_automorphism_count(C: gc.GroupCode) -> int:
@@ -142,7 +142,7 @@ def test_aut_group_full_space_formula():
 def test_aut_group_generators_close(code_d):
     report = gc.aut_group(code_d)
     assert report.elements is not None
-    closure = _mul_closure([g.iso for g in report.generators])
+    closure = mul_closure([g.iso for g in report.generators])
     assert len(closure) == report.order
     assert set(report.elements) == closure
 
@@ -175,7 +175,7 @@ def test_aut_group_large_order_generators_path(z4):
     report = gc.aut_group(trivial4)
     assert report.order == math.factorial(3) ** 4 * math.factorial(4) == 31104
     assert report.elements is None  # above the explicit cap
-    closure = _mul_closure([g.iso for g in report.generators], cap=40000)
+    closure = mul_closure([g.iso for g in report.generators], cap=40000)
     assert len(closure) == 31104
 
 
@@ -318,7 +318,7 @@ def scratch_greedy_generators(elements):
     for el in elements:
         if el not in closed:
             gens.append(el)
-            closed = _mul_closure(gens) | {ident}
+            closed = mul_closure(gens) | {ident}
     return tuple(gens)
 
 
@@ -372,7 +372,7 @@ def test_coset_closure_greedy_matches_scratch_greedy(C, rnd):
     elements = list(report.elements)
     assert tuple(g.iso for g in report.generators) == scratch_greedy_generators(elements)
     rnd.shuffle(elements)  # any element order, not only the sorted one
-    assert _greedy_generators(elements) == scratch_greedy_generators(elements)
+    assert greedy_generators(elements) == scratch_greedy_generators(elements)
 
 
 def z4_half_sum(z4, halves, reps, scramble_seed=None):
@@ -406,7 +406,7 @@ def test_large_order_generators_match_scratch_quotient_greedy(z4, halves, reps, 
     assert report.elements is None and report.order == order
     assert tuple(g.iso for g in report.generators) == gens
     if closes:  # small enough for the from-scratch closure
-        assert len(_mul_closure(gens, cap=order)) == order
+        assert len(mul_closure(gens, cap=order)) == order
 
 
 def brute_equivalent(C, D):
@@ -456,7 +456,7 @@ def test_canonical_witness_is_first_extension(z4):
     # the witness maps complements in sorted order: the least of a leaf's extensions
     search = _IsoSearch(*[z4_half_sum(z4, 1, 1, 7)] * 2, group_mode=True)
     for leaf in search.run(find_all=True):
-        expanded = search.expand_leaf(leaf)
+        expanded = expand_leaf(search, leaf)
         assert len(expanded) == search.extension_count(leaf) == 4
         assert search.witness_from_leaf(leaf) == expanded[0] == min(
             expanded, key=lambda iso: iso.config.maps)

@@ -225,3 +225,49 @@ def test_code_schema_rejects_bool_ints_and_non_bool_group(doc, field):
 def test_isometry_schema_rejects_bool_sigma():
     with pytest.raises(SchemaError):
         ser.isometry_from_json({"sigma": [True, 2], "config": [[0, 1], [0, 1]]})
+
+
+# the alphabet order cap ---------------------------------------------------
+
+def forbid_tables(monkeypatch):
+    """Make building any group table fail the test."""
+    def built(*args, **kwargs):
+        raise AssertionError("a group table was built past the order cap")
+    for name in ("cyclic_group", "product_group", "group_from_table"):
+        monkeypatch.setattr(ser, name, built)
+
+
+CYCLIC_16 = {"kind": "cyclic", "modulus": 16}
+OVER_CAP = [
+    {"kind": "cyclic", "modulus": 10**9},
+    {"kind": "product", "factors": [CYCLIC_16, CYCLIC_16]},           # 256
+    {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 2},
+                                    {"kind": "product", "factors": [CYCLIC_16] * 2}]},
+    {"kind": "product", "factors": [{"kind": "cyclic", "modulus": 10**9}] * 10**4},
+    {"kind": "table", "table": [[0] * 129] * 129},
+]
+
+
+@pytest.mark.parametrize("doc", OVER_CAP)
+def test_alphabet_order_cap_fires_before_any_table_is_built(doc, monkeypatch):
+    forbid_tables(monkeypatch)
+    with pytest.raises(SchemaError) as err:
+        ser.alphabet_from_json(doc)
+    assert err.value.field == "alphabet" and "cap" in str(err.value)
+
+
+@pytest.mark.parametrize("doc", OVER_CAP[:2])
+def test_cli_exits_2_on_an_alphabet_past_the_cap(doc, tmp_path, monkeypatch, capsys):
+    from groupcodes.cli import main
+    forbid_tables(monkeypatch)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"alphabet": doc, "length": 1, "codewords": [[0]]}))
+    assert main(["analyze", str(p)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_alphabet_order_cap_admits_its_bound():
+    assert ser.MAX_ALPHABET_ORDER == 128
+    G = ser.alphabet_from_json({"kind": "product", "factors": [
+        {"kind": "cyclic", "modulus": 2}, {"kind": "cyclic", "modulus": 64}]})
+    assert G.order == ser.MAX_ALPHABET_ORDER
