@@ -36,8 +36,7 @@ def is_trivial(C: Code) -> bool:
 
 def is_degenerate(C: Code) -> tuple[bool, tuple[int, ...]]:
     """Detect constant coordinates; returns the full list of them."""
-    constant = tuple(i for i in range(C.length)
-                     if len({w[i] for w in C.words}) == 1)
+    constant = tuple(i for i, h in enumerate(C.coordinate_projections) if len(h) == 1)
     return (bool(constant), constant)
 
 
@@ -92,11 +91,8 @@ def constant_weight_group(C: GroupCode) -> int | None:
     The singleton group code has no witnessing word, so it is not constant
     weight under the strict r > 0 quantifier.
     """
-    e = C.identity_word()
-    radii = {hamming_distance(w, e) for w in C.words if w != e}
-    if len(radii) == 1:
-        return radii.pop()
-    return None
+    radii = [r for r in C.weight_distribution if r > 0]
+    return radii[0] if len(radii) == 1 else None
 
 
 def constant_weight_general(C: Code, *, center_cap: int = DEFAULT_CENTER_CAP,

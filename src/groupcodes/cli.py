@@ -152,6 +152,7 @@ def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
             classify(code, center_cap=args.center_cap))
     with phases("certificates"):
         report["certificates"] = list(applicable_certificates(code))
+    dec = None
     try:
         with phases("decomposition"):
             dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
@@ -162,7 +163,8 @@ def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
         limits.append("decomposition")
     try:
         with phases("cyclic"):
-            cyc = cyclic_report(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
+            cyc = cyclic_report(code, dec, max_bits=args.max_partition_bits,
+                                max_nodes=args.max_search)
         report["cyclic"] = serialize.cyclic_report_to_json(cyc)
     except ResourceLimitError as err:
         print(f"cyclic analysis skipped: {err}", file=sys.stderr)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (ClosureError, IncompatibleError, InvalidWordError, PreconditionError,
-                     TheoremViolationError)
+                     ResourceLimitError, TheoremViolationError)
 from .groups import FiniteGroup, word_closure
 
 if TYPE_CHECKING:
@@ -95,6 +96,17 @@ class Code:
         import numpy as np
         return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.length)
 
+    @cached_property
+    def coordinate_projections(self) -> tuple[tuple[int, ...], ...]:
+        """For each coordinate i, the sorted symbols of pi_i(C)."""
+        return tuple(tuple(sorted(set(column))) for column in zip(*self.words))
+
+    @cached_property
+    def weight_distribution(self) -> Counter:
+        """How many codewords have each weight relative to ``identity_word()``."""
+        e, n = self.alphabet.identity, self.length
+        return Counter(n - w.count(e) for w in self.words)
+
     @property
     def size(self) -> int:
         return len(self.words)
@@ -160,11 +172,23 @@ def word_inv(G: FiniteGroup, x: Word) -> Word:
     return tuple(G.inverse[a] for a in x)
 
 
+# The most symbols, |C|·n, a generated code may hold. Closing 65,536 words
+# of length 30 (1.97M symbols) takes about 0.3 s and 21 MiB (tracemalloc
+# peak) on one 2-vCPU core; 30 generators of length 30 can ask for 2^30 words.
+MAX_GENERATED_SYMBOLS = 2**21
+
+
 def generate_group_code(G: FiniteGroup, length: int, generators: Iterable[Sequence[int]]) -> GroupCode:
-    """Smallest subgroup of G^n containing the generator words."""
-    gens = [_check_word(w, length, G.order) for w in generators]
-    closure = word_closure(G, length)
-    closure.greedy(gens)
+    """Smallest subgroup of G^n containing the generator words; raises
+    ResourceLimitError as soon as it holds more than ``MAX_GENERATED_SYMBOLS``
+    symbols, and before building any word if the length alone does."""
+    limit = MAX_GENERATED_SYMBOLS // length  # in words
+    if limit:
+        closure = word_closure(G, length, limit=limit)
+        closure.greedy([_check_word(w, length, G.order) for w in generators])
+    if not limit or closure.overflowed():
+        raise ResourceLimitError(
+            f"a generated code of length {length} exceeds the cap of {MAX_GENERATED_SYMBOLS} symbols")
     return GroupCode._build(G, length, tuple(sorted(closure.elements)))
 
 
@@ -197,15 +221,7 @@ def min_distance(C: Code) -> int:
 
 def min_weight_nonidentity(C: GroupCode) -> int:
     """Least weight of a non-identity codeword; equals min_distance on group codes."""
-    e = C.identity_word()
-    best = C.length + 1
-    for w in C.words:
-        if w == e:
-            continue
-        d = hamming_distance(w, e)
-        if d < best:
-            best = d
-    return best
+    return min((d for d in C.weight_distribution if d > 0), default=C.length + 1)
 
 
 def projection(C: Code, coords: Sequence[int]) -> Code:

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .codes import Code, GroupCode, Word
-from .decompose import DEFAULT_PARTITION_BITS, decompose
+from .decompose import DEFAULT_PARTITION_BITS, Decomposition, decompose
 from .errors import IncompatibleError, PreconditionError, TheoremViolationError
 from .groups import encode_mixed_radix, product_group
 from .isometry import Equivalence
-from .isomorphy import DEFAULT_MAX_NODES, gc_isomorphic
+from .isomorphy import DEFAULT_MAX_NODES
 
 
 def cyclic_shift(w: Word) -> Word:
@@ -153,32 +153,28 @@ def gcd_certificate(C: GroupCode) -> GcdCertificate | None:
     return None
 
 
-def cyclic_structure(C: GroupCode, *, max_bits: int = DEFAULT_PARTITION_BITS,
+def cyclic_structure(C: GroupCode, dec: Decomposition | None = None, *,
+                     max_bits: int = DEFAULT_PARTITION_BITS,
                      max_nodes: int = DEFAULT_MAX_NODES) -> ComponentStructure:
-    """Decompose a cyclic group code and check the forced component shape.
+    """Check the forced component shape on the decomposition of a cyclic
+    group code: ``dec``, which must be one of C, or else ``decompose(C)``.
 
     All indecomposable components of a decomposable cyclic group code must
-    be pairwise isomorphic and individually cyclic; a violation is an
-    internal error, not a property of the input.
+    be pairwise isomorphic, that is of one isotype, and individually
+    cyclic; a violation is an internal error, not a property of the input.
     """
     _require_cyclic_group_code(C)
-    dec = decompose(C, max_bits=max_bits, max_nodes=max_nodes)
-    comps = dec.components
-    if len(comps) == 1:
-        return ComponentStructure(component=comps[0], multiplicity=1,
-                                  components_pairwise_isomorphic=True,
-                                  components_cyclic=True)
-    rep = comps[0]
-    for other in comps[1:]:
-        assert isinstance(rep, GroupCode) and isinstance(other, GroupCode)
-        if gc_isomorphic(rep, other, max_nodes=max_nodes) is None:
-            raise TheoremViolationError(
-                "components of a decomposable cyclic group code are not pairwise isomorphic")
-    for comp in comps:
-        if not is_cyclic(comp):
-            raise TheoremViolationError(
-                "a component projection of a cyclic group code is not cyclic")
-    return ComponentStructure(component=rep, multiplicity=len(comps),
+    if dec is None:
+        dec = decompose(C, max_bits=max_bits, max_nodes=max_nodes)
+    else:
+        dec.check(C)
+    if len(dec.isotypes) != 1:
+        raise TheoremViolationError(
+            "components of a decomposable cyclic group code are not pairwise isomorphic")
+    if not all(map(is_cyclic, dec.components)):
+        raise TheoremViolationError(
+            "a component projection of a cyclic group code is not cyclic")
+    return ComponentStructure(component=dec.components[0], multiplicity=len(dec.components),
                               components_pairwise_isomorphic=True,
                               components_cyclic=True)
 
@@ -209,16 +205,17 @@ def join(codes: list[GroupCode]) -> GroupCode:
     return out
 
 
-def cyclic_report(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
-                  max_nodes: int = DEFAULT_MAX_NODES,
-                  with_structure: bool = True) -> CyclicReport:
-    """Full cyclicity report; certificate and structure only for cyclic group codes."""
+def cyclic_report(C: Code, dec: Decomposition | None = None, *,
+                  max_bits: int = DEFAULT_PARTITION_BITS,
+                  max_nodes: int = DEFAULT_MAX_NODES) -> CyclicReport:
+    """Full cyclicity report; certificate and structure only for cyclic group
+    codes, the structure read off ``dec`` if given, else skipped past ``max_bits``."""
     cyc = is_cyclic(C)
     cert = None
     structure = None
     if cyc and isinstance(C, GroupCode):
         cert = gcd_certificate(C)
-        if with_structure and C.length <= max_bits:
-            structure = cyclic_structure(C, max_bits=max_bits, max_nodes=max_nodes)
+        if dec is not None or C.length <= max_bits:
+            structure = cyclic_structure(C, dec, max_bits=max_bits, max_nodes=max_nodes)
     return CyclicReport(is_cyclic=cyc, shift_orbit_sizes=shift_orbit_sizes(C),
                         gcd_certificate=cert, component_structure=structure)

@@ -11,6 +11,7 @@ exponential subset search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -195,6 +196,15 @@ class Decomposition:
     def indecomposable(self) -> bool:
         return len(self.components) == 1
 
+    def check(self, C: Code) -> None:
+        """Raise PreconditionError unless this is a decomposition of C: the
+        components are C's projections onto the blocks, and C is their sum."""
+        if (self.partition.n != C.length
+                or C.size != math.prod(comp.size for comp in self.components)
+                or any(projection(C, block).words != comp.words
+                       for block, comp in zip(self.partition.blocks, self.components))):
+            raise PreconditionError("the decomposition is not one of this code")
+
 
 def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
               use_certificates: bool = True,
@@ -213,8 +223,7 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         if len(indices) == 1:
             blocks.append(indices)
             return
-        constant_pos = [p for p in range(code.length)
-                        if len({w[p] for w in code.words}) == 1]
+        _, constant_pos = is_degenerate(code)
         if constant_pos:
             for p in constant_pos:
                 blocks.append((indices[p],))

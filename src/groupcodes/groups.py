@@ -198,25 +198,22 @@ class CosetClosure:
     with an ``identity`` and a right multiplication: ``right_mul(t)`` is the
     map x -> x·t, such as a table column for elements of G
     (``element_closure``), one column per coordinate for words of G^n
-    (``word_closure``), or ``itemgetter(*t)`` for point forms. Elements are
-    told apart by ``key`` (the element itself by default; a signature to
-    work in a quotient), each kept as one representative. A generator
-    outside the current subgroup H extends it by the right cosets H·t,
-    where t = r·s runs over coset representatives r times generators s, so
-    every new element is multiplied out exactly once. Growth stops as soon
-    as the closure holds more than ``limit`` elements.
+    (``word_closure``), or ``itemgetter(*t)`` for permutations of points
+    (``isomorphy._greedy_picks``). A generator outside the current
+    subgroup H extends it by the right cosets H·t, where t = r·s runs over
+    coset representatives r times generators s, so every new element is
+    multiplied out exactly once. Growth stops as soon as the closure holds
+    more than ``limit`` elements.
     """
 
-    def __init__(self, identity: Hashable, right_mul: Callable, key: Callable | None = None,
-                 limit: int | None = None) -> None:
+    def __init__(self, identity: Hashable, right_mul: Callable, limit: int | None = None) -> None:
         self.identity = identity
         self.right_mul = right_mul
-        self.key = key
         self.limit = limit
         self.gens: list = []
         self._gen_muls: list[Callable] = []
         self.elements = [identity]
-        self.keys = {identity if key is None else key(identity)}
+        self.members = {identity}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -226,7 +223,7 @@ class CosetClosure:
 
     def add(self, g: Hashable) -> None:
         """Append g to the generators and close; g must lie outside."""
-        key, keys, elements, limit = self.key, self.keys, self.elements, self.limit
+        members, elements, limit = self.members, self.elements, self.limit
         right_mul = self.right_mul
         self.gens.append(g)
         self._gen_muls.append(right_mul(g))
@@ -235,12 +232,12 @@ class CosetClosure:
         for r in reps:
             for mul in self._gen_muls:
                 t = mul(r)
-                if (t if key is None else key(t)) in keys:
+                if t in members:
                     continue
                 reps.append(t)
                 coset = list(map(right_mul(t), subgroup)) if len(subgroup) > 1 else [t]
                 elements.extend(coset)
-                keys.update(coset if key is None else map(key, coset))
+                members.update(coset)
                 if limit is not None and len(elements) > limit:
                     return
 
@@ -248,12 +245,12 @@ class CosetClosure:
         """Take each candidate not already generated, in order, until the
         closure holds ``size`` elements or more than its limit; return the
         positions of the candidates taken."""
-        key, keys = self.key, self.keys
+        members = self.members
         picks: list[int] = []
         for k, x in enumerate(candidates):
             if len(self.elements) == size or self.overflowed():
                 break
-            if (x if key is None else key(x)) not in keys:
+            if x not in members:
                 self.add(x)
                 picks.append(k)
         return picks

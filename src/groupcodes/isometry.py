@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Word, hamming_distance
@@ -183,30 +182,6 @@ def to_points(iso: Isometry) -> tuple[int, ...]:
     # input coordinate i is σ(j) for j = inv[i]
     inv = sorted(range(len(perm)), key=perm.__getitem__)
     return tuple([j * q + t for j in inv for t in maps[j]])
-
-
-def from_points(points: Sequence[int], q: int) -> Isometry:
-    """The isometry of a point form over a q-letter alphabet; validated."""
-    if q < 1 or len(points) % q:
-        raise PreconditionError(f"{len(points)} points are not q·n points for q = {q}")
-    blocks = [tuple(points[i * q:(i + 1) * q]) for i in range(len(points) // q)]
-    # σ^{-1}: the output coordinate each input coordinate's points land on
-    inv = Equivalence(tuple(block[0] // q for block in blocks))
-    for block, j in zip(blocks, inv.perm):
-        if any(p // q != j for p in block):
-            raise PreconditionError(f"the points {block} do not land on one coordinate")
-    equiv = inv.inverse()
-    maps = tuple(tuple(p - j * q for p in blocks[i]) for j, i in enumerate(equiv.perm))
-    return Isometry(Configuration(maps), equiv)
-
-
-def compose_points(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The point form of compose(A, B), given those of A and B: P_a∘P_b."""
-    if len(a) != len(b):
-        raise IncompatibleError(f"composing point forms on {len(a)} and {len(b)} points")
-    if len(b) < 2:  # itemgetter needs an index, and returns a lone item bare
-        return tuple([a[p] for p in b])
-    return itemgetter(*b)(a)
 
 
 def inverse(iso: Isometry) -> Isometry:

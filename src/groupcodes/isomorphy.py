@@ -30,12 +30,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .codes import (Code, GroupCode, Word, direct_sum_all, hamming_distance,
-                    projection, word_mul)
+from .codes import Code, GroupCode, Word, direct_sum_all, word_mul
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import CosetClosure, subgroup_isomorphisms, word_closure
-from .isometry import Isometry, from_points, identity_isometry, to_points
+from .isometry import Isometry, identity_isometry, to_points
 from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
@@ -71,7 +70,7 @@ class GroupCodeIso:
         sigma = phi.equiv.perm
         for j in range(C.length):
             f = phi.config.maps[j]
-            h = sorted({w[sigma[j]] for w in C.words})
+            h = C.coordinate_projections[sigma[j]]
             for a in h:
                 for b in h:
                     if f[G.table[a][b]] != G.table[f[a]][f[b]]:
@@ -125,9 +124,8 @@ class _IsoSearch:
         self.group_mode = group_mode
         self.max_nodes = max_nodes
         self.nodes = 0
-        self.proj_in = [tuple(sorted({w[i] for w in C.words})) for i in range(self.n)]
-        self.proj_out = (self.proj_in if D is C else
-                         [tuple(sorted({w[j] for w in D.words})) for j in range(self.n)])
+        self.proj_in = C.coordinate_projections
+        self.proj_out = D.coordinate_projections
         self.comp_in = [_complement(h, self.q) for h in self.proj_in]
         self.comp_out = [_complement(h, self.q) for h in self.proj_out]
         self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
@@ -276,11 +274,6 @@ class _IsoSearch:
                                    for j in range(self.n)])
 
 
-def _weight_distribution(C: GroupCode) -> Counter:
-    e = C.identity_word()
-    return Counter(hamming_distance(w, e) for w in C.words)
-
-
 def gc_isomorphic(C: GroupCode, D: GroupCode, *, max_nodes: int = DEFAULT_MAX_NODES) -> GroupCodeIso | None:
     """Find a group-code isomorphism witness C -> D, or None.
 
@@ -294,11 +287,9 @@ def gc_isomorphic(C: GroupCode, D: GroupCode, *, max_nodes: int = DEFAULT_MAX_NO
         return None
     if C.words == D.words:
         return GroupCodeIso(identity_isometry(C.alphabet.order, C.length), C, D)
-    if _weight_distribution(C) != _weight_distribution(D):
+    if C.weight_distribution != D.weight_distribution:
         return None
-    proj_c = sorted(len({w[i] for w in C.words}) for i in range(C.length))
-    proj_d = sorted(len({w[j] for w in D.words}) for j in range(D.length))
-    if proj_c != proj_d:
+    if sorted(map(len, C.coordinate_projections)) != sorted(map(len, D.coordinate_projections)):
         return None
     search = _IsoSearch(C, D, group_mode=True, max_nodes=max_nodes)
     leaves = search.run(find_all=False)
@@ -318,9 +309,7 @@ def code_equivalent(C: Code, D: Code, *, max_nodes: int = DEFAULT_MAX_NODES) -> 
         return None
     if C.words == D.words:
         return identity_isometry(C.alphabet.order, C.length)
-    proj_c = sorted(len({w[i] for w in C.words}) for i in range(C.length))
-    proj_d = sorted(len({w[j] for w in D.words}) for j in range(D.length))
-    if proj_c != proj_d:
+    if sorted(map(len, C.coordinate_projections)) != sorted(map(len, D.coordinate_projections)):
         return None
     search = _IsoSearch(C, D, group_mode=False, max_nodes=max_nodes)
     leaves = search.run(find_all=False)
@@ -345,18 +334,14 @@ class AutGroupReport:
     complete: bool = True
 
 
-def _point_closure(degree: int, key=None) -> CosetClosure:
-    """A CosetClosure over point forms (see ``isometry.to_points``), with
-    P_a∘P_b = ``itemgetter(*b)(a)`` as in ``isometry.compose_points``; the
-    getter returns tuples, as a group on one point has no element to add."""
-    return CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t), key)
-
-
 def _greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> list[int]:
-    """Greedy generators over the point forms of all ``size`` elements of a
-    group: the index of each element not generated by the ones taken before
-    it. The forms are read lazily, and only until the group is generated."""
-    return _point_closure(degree).greedy(points, size)
+    """Greedy generators over all ``size`` elements of a group of
+    permutations of ``degree`` points, composed as P_a∘P_b =
+    ``itemgetter(*b)(a)`` (bare on one point, where none is added): the index
+    of each element not generated by the ones taken before it, read lazily
+    and only until the group is generated."""
+    closure = CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t))
+    return closure.greedy(points, size)
 
 
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
@@ -441,10 +426,8 @@ def _aut_leaves(C: GroupCode, decomposition: "Decomposition | None", *,
                             max_nodes=max_nodes)
         except ResourceLimitError:
             dec = None
-    elif dec.partition.n != C.length or any(
-            projection(C, block).words != comp.words
-            for block, comp in zip(dec.partition.blocks, dec.components)):
-        raise PreconditionError("the decomposition is not one of this code")
+    else:
+        dec.check(C)
     if dec is None or dec.indecomposable:
         try:
             leaves = search.run(find_all=True)
@@ -605,30 +588,28 @@ def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLim
 def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
     """Generators when the group is too large to materialize.
 
-    The extension-only automorphisms (σ = id, restrictions = id) form a
-    normal subgroup N = prod_j Sym(complement of pi_j(C)); canonical leaf
-    witnesses form a transversal of it. Greedily reduced transversal
-    representatives plus two-element generator sets of each symmetric
-    factor generate the whole group.
+    Every automorphism permutes the points (i, a) with a in pi_i(C); the
+    kernel is N = prod_j Sym(complement of pi_j(C)), the extension-only
+    automorphisms, and the leaves, one per coset of N, act as the quotient.
+    Greedy generators of that action, as canonical leaf witnesses, plus
+    two-element generator sets of each symmetric factor generate the group.
     """
     q, n = search.q, search.n
-    # A coset of N is fixed by σ and the restrictions, that is by the
-    # images of the points (i, a) with a in pi_i(C).
-    domains = [(i, search.proj_in[i]) for i in range(n)]
-    pick = itemgetter(*[i * q + a for i, dom in domains for a in dom])
-    signature = pick if sum(len(dom) for _, dom in domains) > 1 else (lambda p: (pick(p),))
-    quotient = _point_closure(q * n, signature)
+    # the number of point (i, a), a in pi_i(C), indexed by i·q + a
+    number = [0] * (q * n)
+    for k, p in enumerate(i * q + a for i, dom in enumerate(search.proj_in) for a in dom):
+        number[p] = k
     inv = [0] * n
-    for leaf in leaves:
-        # every leaf is one coset, so a full quotient takes no more picks
-        if len(quotient) == len(leaves):
-            break
+
+    def action(leaf: Leaf) -> tuple[int, ...]:
+        # (σ(j), a) goes to (j, f_j(a))
         sigma, restr = leaf
         for j, i in enumerate(sigma):
             inv[i] = j
-        key = tuple([inv[i] * q + restr[inv[i]][a] for i, dom in domains for a in dom])
-        if key not in quotient.keys:
-            quotient.add(to_points(search.witness_from_leaf(leaf)))
+        return tuple([number[inv[i] * q + restr[inv[i]][a]]
+                      for i, dom in enumerate(search.proj_in) for a in dom])
+
+    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), len(leaves))
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):
@@ -641,7 +622,7 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
                     f[a] = b
                 maps[j] = tuple(f)
                 normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
-    return tuple([from_points(g, q) for g in quotient.gens] + normal_gens)
+    return tuple([search.witness_from_leaf(leaves[k]) for k in picks] + normal_gens)
 
 
 def _symmetric_generators(points: tuple[int, ...]) -> list[dict[int, int]]:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Sequence
 
 from groupcodes import serialize as ser
-from groupcodes.errors import ResourceLimitError
-from groupcodes.isometry import Isometry, compose, to_points
-from groupcodes.isomorphy import AutGroupReport, _greedy_picks
+from groupcodes.codes import Code, GroupCode, hamming_distance
+from groupcodes.cyclic import ComponentStructure, is_cyclic
+from groupcodes.decompose import decompose
+from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
+                               TheoremViolationError)
+from groupcodes.isometry import Configuration, Equivalence, Isometry, compose, to_points
+from groupcodes.isomorphy import AutGroupReport, _greedy_picks, gc_isomorphic
 
 
 def mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
@@ -54,3 +60,65 @@ def aut_report_to_json(r: AutGroupReport) -> dict:
         doc["structure"] = [{"isotype": i, "component_aut_order": o, "alpha": a}
                             for i, o, a in r.structure]
     return doc
+
+
+def coordinate_projections(C: Code) -> tuple[tuple[int, ...], ...]:
+    """The sorted symbols of pi_i(C), one set built per coordinate; the
+    oracle for ``Code.coordinate_projections``."""
+    return tuple(tuple(sorted({w[i] for w in C.words})) for i in range(C.length))
+
+
+def weight_distribution(C: Code) -> Counter:
+    """Codeword weights relative to the identity word, one distance per
+    word; the oracle for ``Code.weight_distribution``."""
+    e = C.identity_word()
+    return Counter(hamming_distance(w, e) for w in C.words)
+
+
+def cyclic_structure(C: GroupCode) -> ComponentStructure:
+    """The component shape of a cyclic group code by decomposing it and
+    testing every component against the first with ``gc_isomorphic``; the
+    oracle for ``cyclic.cyclic_structure``, which reads the isotypes."""
+    comps = decompose(C).components
+    if len(comps) == 1:
+        return ComponentStructure(component=comps[0], multiplicity=1,
+                                  components_pairwise_isomorphic=True,
+                                  components_cyclic=True)
+    rep = comps[0]
+    for other in comps[1:]:
+        if gc_isomorphic(rep, other) is None:
+            raise TheoremViolationError(
+                "components of a decomposable cyclic group code are not pairwise isomorphic")
+    for comp in comps:
+        if not is_cyclic(comp):
+            raise TheoremViolationError(
+                "a component projection of a cyclic group code is not cyclic")
+    return ComponentStructure(component=rep, multiplicity=len(comps),
+                              components_pairwise_isomorphic=True,
+                              components_cyclic=True)
+
+
+# point forms (see ``isometry.to_points``) ----------------------------------
+
+def from_points(points: Sequence[int], q: int) -> Isometry:
+    """The isometry of a point form over a q-letter alphabet; validated."""
+    if q < 1 or len(points) % q:
+        raise PreconditionError(f"{len(points)} points are not q·n points for q = {q}")
+    blocks = [tuple(points[i * q:(i + 1) * q]) for i in range(len(points) // q)]
+    # σ^{-1}: the output coordinate each input coordinate's points land on
+    inv = Equivalence(tuple(block[0] // q for block in blocks))
+    for block, j in zip(blocks, inv.perm):
+        if any(p // q != j for p in block):
+            raise PreconditionError(f"the points {block} do not land on one coordinate")
+    equiv = inv.inverse()
+    maps = tuple(tuple(p - j * q for p in blocks[i]) for j, i in enumerate(equiv.perm))
+    return Isometry(Configuration(maps), equiv)
+
+
+def compose_points(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The point form of compose(A, B), given those of A and B: P_a∘P_b."""
+    if len(a) != len(b):
+        raise IncompatibleError(f"composing point forms on {len(a)} and {len(b)} points")
+    if len(b) < 2:  # itemgetter needs an index, and returns a lone item bare
+        return tuple([a[p] for p in b])
+    return itemgetter(*b)(a)

@@ -171,10 +171,13 @@ def test_partition_cap_falls_back_to_the_whole_code_search(code_d):
     assert report_text(capped) == report_text(gc.aut_group(C))
 
 
-def test_foreign_decomposition_is_rejected(code_d, rep3):
+def test_foreign_decomposition_is_rejected(code_d, rep3, z2):
     dec = gc.decompose(gc.direct_sum(code_d, rep3))
     with pytest.raises(PreconditionError):
         gc.aut_group(gc.direct_sum(rep3, code_d), dec)
+    # each coordinate of D projects onto Z/2, but D is no direct sum of them
+    with pytest.raises(PreconditionError):
+        gc.aut_group(code_d, gc.decompose(gc.full_space(z2, 3)))
 
 
 # the aut report writer and the generator choice --------------------------

@@ -10,8 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupcodes as gc
+from groupcodes import codes
 from groupcodes.errors import (ClosureError, IncompatibleError, InvalidWordError,
-                               PreconditionError)
+                               PreconditionError, ResourceLimitError)
+from groupcodes.serialize import alphabet_from_json
+
+import oracles
+
+S3 = alphabet_from_json({"kind": "table", "label": "S3", "table": [
+    [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+    [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]})
+ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4),
+             gc.klein_four_group(), S3]
 
 # the eight codewords of the reference Z/4 example, frozen
 Z4_WORDS = {(0, 0, 0), (2, 0, 0), (1, 2, 1), (3, 2, 1),
@@ -86,6 +96,24 @@ def test_min_weight_equals_min_distance(corpus):
             assert gc.min_weight_nonidentity(C) == gc.min_distance(C)
 
 
+@st.composite
+def plain_and_group_codes(draw):
+    """A random plain code, or the group code generated by up to three
+    random words, of length at most 4 over Z/2, Z/3, Z/4, V4 or S3."""
+    G = draw(st.sampled_from(ALPHABETS))
+    n = draw(st.integers(1, 4))
+    word = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    if draw(st.booleans()):
+        return gc.generate_group_code(G, n, draw(st.lists(word, max_size=3)))
+    return gc.Code.from_words(G, n, draw(st.lists(word, min_size=1, max_size=12)))
+
+
+@given(plain_and_group_codes())
+def test_cached_invariants_match_the_scans(C):
+    assert C.coordinate_projections == oracles.coordinate_projections(C)
+    assert C.weight_distribution == oracles.weight_distribution(C)
+
+
 def test_projection_z4_example(z4_code):
     assert gc.projection(z4_code, [0]).words == ((0,), (1,), (2,), (3,))
     assert gc.projection(z4_code, [1]).words == ((0,), (2,))
@@ -144,6 +172,17 @@ def test_direct_sum_alphabet_mismatch(code_d, z4):
 def test_generate_group_code_empty(z2):
     C = gc.generate_group_code(z2, 3, [])
     assert C.words == ((0, 0, 0),)
+
+
+def test_generate_group_code_cap_admits_its_bound(z2, monkeypatch):
+    monkeypatch.setattr(codes, "MAX_GENERATED_SYMBOLS", 64)
+    units = [tuple(int(i == j) for i in range(8)) for j in range(4)]
+    assert gc.generate_group_code(z2, 8, units[:3]).size == 8  # 64 symbols
+    assert gc.generate_group_code(z2, 64, []).size == 1
+    with pytest.raises(ResourceLimitError):
+        gc.generate_group_code(z2, 8, units)  # 16 words
+    with pytest.raises(ResourceLimitError):
+        gc.generate_group_code(z2, 65, [])
 
 
 def test_generate_group_code_even_weight(z2):

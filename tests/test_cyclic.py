@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groupcodes as gc
+from groupcodes import cli, cyclic, isomorphy, serialize
 from groupcodes.catalog import binary_repetition, repetition_code
-from groupcodes.errors import IncompatibleError, PreconditionError
+from groupcodes.errors import IncompatibleError, PreconditionError, TheoremViolationError
 from groupcodes.selftest import INTERLEAVE_DEMO_PAIRS, cyclic_corpus
+
+import oracles
+
+dmod = importlib.import_module("groupcodes.decompose")
 
 # frozen copy of the worked two-copy interleaving of D = {000,110,011,101}
 EXPECTED_PAIRS = {
@@ -157,6 +166,79 @@ def test_components_of_decomposable_cyclic_codes():
         assert s.multiplicity >= 2
         seen_decomposable += 1
     assert seen_decomposable >= 5
+
+
+def test_cyclic_structure_on_the_decomposition_matches_the_pairwise_route():
+    for C in cyclic_corpus():
+        if C.length <= 10:
+            assert gc.cyclic_structure(C, gc.decompose(C)) == oracles.cyclic_structure(C)
+
+
+@st.composite
+def cyclic_v4_codes(draw):
+    """The group code generated by one or two random words over V4 and all
+    their rotations: cyclic, as the rotation is an automorphism of V4^n."""
+    n = draw(st.integers(2, 5))
+    words = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=2))
+    rotations = [w[k:] + w[:k] for w in words for k in range(n)]
+    return gc.generate_group_code(gc.klein_four_group(), n, rotations)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cyclic_v4_codes())
+def test_cyclic_structure_matches_the_pairwise_route_on_random_v4_codes(C):
+    assert gc.is_cyclic(C)
+    dec = gc.decompose(C)
+    assert gc.cyclic_structure(C, dec) == oracles.cyclic_structure(C)
+    assert gc.cyclic_report(C, dec) == gc.cyclic_report(C)
+
+
+def test_cyclic_structure_raises_on_a_decomposition_with_two_isotypes(code_d):
+    C = gc.interleave(code_d, 2)
+    dec = gc.decompose(C)
+    assert dec.isotypes == ((0, 2),)
+    split = dataclasses.replace(dec, isotypes=((0, 1), (1, 1)), isotype_members=((0,), (1,)))
+    with pytest.raises(TheoremViolationError):
+        gc.cyclic_structure(C, split)
+
+
+def test_cyclic_structure_rejects_a_decomposition_of_another_code(code_d, z2):
+    C = gc.interleave(code_d, 2)
+    for other in (code_d, gc.full_space(z2, 6), gc.direct_sum(code_d, code_d)):
+        with pytest.raises(PreconditionError):
+            gc.cyclic_structure(C, gc.decompose(other))
+
+
+def test_analyze_decomposes_a_cyclic_group_code_once(code_d, tmp_path, monkeypatch, capsys):
+    # the cyclic section reads the decomposition of the analyze report, and
+    # gc_isomorphic runs only inside it, for the isotypes
+    calls, outside = [], []
+    real_decompose, real_isomorphic = dmod.decompose, isomorphy.gc_isomorphic
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        try:
+            return real_decompose(*args, **kwargs)
+        finally:
+            calls.append(None)
+
+    def watched(*args, **kwargs):
+        if len(calls) % 2 == 0:  # no decompose running
+            outside.append(args)
+        return real_isomorphic(*args, **kwargs)
+
+    for module in (cli, cyclic):
+        monkeypatch.setattr(module, "decompose", counted)
+    for module in (cli, cyclic, dmod):
+        monkeypatch.setattr(module, "gc_isomorphic", watched, raising=False)
+    C = gc.interleave(code_d, 2)
+    path = tmp_path / "c.json"
+    path.write_text(serialize.dumps(serialize.code_to_json(C)))
+    assert cli.main(["analyze", str(path)]) == 0
+    doc = capsys.readouterr().out
+    assert '"multiplicity": 2' in doc
+    assert calls == [C, None]
+    assert outside == []
 
 
 def test_join_single_code_reencodes(code_d):

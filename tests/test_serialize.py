@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,3 +272,29 @@ def test_alphabet_order_cap_admits_its_bound():
     G = ser.alphabet_from_json({"kind": "product", "factors": [
         {"kind": "cyclic", "modulus": 2}, {"kind": "cyclic", "modulus": 64}]})
     assert G.order == ser.MAX_ALPHABET_ORDER
+
+
+# the generated-code cap ----------------------------------------------------
+
+Z2_DOC = {"kind": "cyclic", "modulus": 2}
+
+
+@pytest.mark.parametrize("doc,max_peak_mib", [
+    # the identity word alone would take 8 GB
+    ({"alphabet": Z2_DOC, "length": 10**9, "generators": [], "group": True}, 4),
+    # 30 unit vectors generate 2^30 words of length 30
+    ({"alphabet": Z2_DOC, "length": 30, "group": True,
+      "generators": [[int(i == j) for i in range(30)] for j in range(30)]}, 128),
+], ids=["length", "words"])
+def test_cli_exits_2_on_a_generated_code_past_the_cap(doc, max_peak_mib, tmp_path, capsys):
+    from groupcodes.cli import main
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(p)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < max_peak_mib * 2**20
+    assert "cap" in capsys.readouterr().err
