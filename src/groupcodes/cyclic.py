@@ -145,7 +145,10 @@ def gcd_certificate(C: GroupCode) -> GcdCertificate | None:
     One-directional: presence certifies indecomposability, absence says
     nothing (full spaces are decomposable with the certificate absent).
     """
-    _require_cyclic_group_code(C)
+    return _gcd_certificate(_require_cyclic_group_code(C))
+
+
+def _gcd_certificate(C: GroupCode) -> GcdCertificate | None:
     exponents = list(factorize(C.size).values())
     xi = math.gcd(*exponents) if exponents else 0
     if math.gcd(xi, C.length) == 1:
@@ -163,7 +166,12 @@ def cyclic_structure(C: GroupCode, dec: Decomposition | None = None, *,
     be pairwise isomorphic, that is of one isotype, and individually
     cyclic; a violation is an internal error, not a property of the input.
     """
-    _require_cyclic_group_code(C)
+    return _cyclic_structure(_require_cyclic_group_code(C), dec,
+                             max_bits=max_bits, max_nodes=max_nodes)
+
+
+def _cyclic_structure(C: GroupCode, dec: Decomposition | None, *,
+                      max_bits: int, max_nodes: int) -> ComponentStructure:
     if dec is None:
         dec = decompose(C, max_bits=max_bits, max_nodes=max_nodes)
     else:
@@ -209,13 +217,14 @@ def cyclic_report(C: Code, dec: Decomposition | None = None, *,
                   max_bits: int = DEFAULT_PARTITION_BITS,
                   max_nodes: int = DEFAULT_MAX_NODES) -> CyclicReport:
     """Full cyclicity report; certificate and structure only for cyclic group
-    codes, the structure read off ``dec`` if given, else skipped past ``max_bits``."""
+    codes, the structure read off ``dec`` if given, else skipped past ``max_bits``.
+    Cyclicity is scanned once; the certificate and the structure trust it."""
     cyc = is_cyclic(C)
     cert = None
     structure = None
     if cyc and isinstance(C, GroupCode):
-        cert = gcd_certificate(C)
+        cert = _gcd_certificate(C)
         if dec is not None or C.length <= max_bits:
-            structure = cyclic_structure(C, dec, max_bits=max_bits, max_nodes=max_nodes)
+            structure = _cyclic_structure(C, dec, max_bits=max_bits, max_nodes=max_nodes)
     return CyclicReport(is_cyclic=cyc, shift_orbit_sizes=shift_orbit_sizes(C),
                         gcd_certificate=cert, component_structure=structure)

@@ -11,14 +11,21 @@ extension works, and distinct extensions are distinct ambient maps, which
 is exactly what the automorphism counting has to honor.
 
 Automorphism groups follow the product formula Aut(⊕ D_j^alpha_j) =
-prod Aut(D_j) ≀ Sym(alpha_j): ``aut_group`` decomposes the code, runs the
-find-all search on one representative per isotype, and assembles the
-whole code's search leaves from block permutations within each isotype
-and tuples of component leaves, conjugated by the isotype witnesses of
-the decomposition. The assembled leaves are those of the search over the
-whole code, in its order and with its restriction objects, so everything
-downstream (leaf expansion, sorting, generator choice) is shared; that
-search still handles indecomposable codes and is the test oracle.
+prod Aut(D_j) ≀ Sym(alpha_j): ``aut_group`` decomposes the code and
+searches one representative per isotype (or the whole code, when it is
+indecomposable) by a coset search (Leon, J. Symbolic Comput. 12, 1991):
+it walks the identity path of the search tree and runs one find-one
+search under each other child of its nodes, since the leaves below a
+child are a coset of the stabilizer below it and one leaf represents
+them. The leaves follow by composition, lazily and in the order of the
+find-all search (``_IsoSearch.dfs_leaves``). A group within the explicit
+cap is built element by element as (σ, maps) pairs: each representative
+leaf with its bijective extensions, conjugated onto every block of its
+isotype by the decomposition's witnesses, composed over every block
+permutation, and sorted once; no leaf list of the whole code is built.
+Larger groups read the whole code's leaves in that order, assembled the
+same way, only until their generators are chosen. The find-all search
+stays in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -27,14 +34,15 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from functools import cached_property
+from operator import add, itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .codes import Code, GroupCode, Word, direct_sum_all, word_mul
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import CosetClosure, subgroup_isomorphisms, word_closure
-from .isometry import Isometry, identity_isometry, to_points
+from .isometry import Isometry, identity_isometry, pair_points
 from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
@@ -43,6 +51,11 @@ if TYPE_CHECKING:  # structure checks take a Decomposition without importing at 
 DEFAULT_MAX_NODES = 10**6
 DEFAULT_EXPLICIT_CAP = 10**4
 CLOSURE_VERIFY_CAP = 10**6
+
+# a search leaf: σ and the restrictions pi_σ(j)(C) -> pi_j(D), extensions not expanded
+Leaf = tuple[tuple[int, ...], tuple[dict[int, int], ...]]
+# an ambient isometry f∘σ̄ as σ and the alphabet permutations f_j
+ElementPair = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -109,9 +122,9 @@ class _IsoSearch:
     A probe's image prefix of length k is held as the mixed-radix integer
     sum_t y_t q^(k-1-t), so a child's image is ``img * q + f[c]`` and the
     prefix tests against D are integer set lookups. The probes and D's
-    prefixes are built by ``run``; leaf expansion needs only the
-    projections and the candidate maps, which searches over one alphabet
-    may share through ``maps``.
+    prefixes are built by ``run`` and ``transversals``; leaf expansion
+    and composition need only the projections and the candidate maps,
+    which searches over one alphabet may share through ``maps``.
     """
 
     def __init__(self, C: Code, D: Code, *, group_mode: bool,
@@ -132,6 +145,8 @@ class _IsoSearch:
         self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = (
             {} if maps is None else maps)
         self._extension_cache: dict[int, tuple] = {}
+        self._indices: dict[int, dict[tuple[int, ...], tuple[int, dict[int, int]]]] = {}
+        self._composed: dict[tuple[int, int], int] = {}
 
     def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
         """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
@@ -154,17 +169,17 @@ class _IsoSearch:
             self._map_cache[key] = self._maps_by_projections[projections]
         return self._map_cache[key]
 
-    def run(self, *, find_all: bool) -> list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]]:
-        """Return search leaves (σ, per-coordinate restrictions); one leaf
-        per distinct restriction assignment, extensions not expanded."""
-        leaves: list[tuple[tuple[int, ...], tuple[dict[int, int], ...]]] = []
-        sigma: list[int] = []
-        restr: list[dict[int, int]] = []
+    def _prepare(self) -> Callable[[int, list[int]], "Leaf | None"]:
+        """Build the probes and D's prefix data, and return ``descend(j,
+        images)``: the first leaf, in DFS order, below the node at depth j
+        whose path is ``self.sigma``/``self.restr`` (``self.used`` marks its
+        input coordinates) and whose probe images are ``images``; None if
+        there is none. Every node counts against ``max_nodes``."""
         C, D, n, q = self.C, self.D, self.n, self.q
         group_mode = self.group_mode
-        probes = code_generating_words(C) if group_mode else C.words  # images must land in D
+        self.probes = probes = code_generating_words(C) if group_mode else C.words
         # the probes' symbols at input coordinate i
-        columns = [tuple(p[i] for p in probes) for i in range(n)]
+        self.columns = columns = [tuple(p[i] for p in probes) for i in range(n)]
         # output-prefix data of D, per depth, as mixed-radix integers
         prefixes = [0] * D.size
         prefix_ints = [prefixes]
@@ -172,19 +187,18 @@ class _IsoSearch:
             prefixes = [x * q + w[j] for x, w in zip(prefixes, D.words)]
             prefix_ints.append(prefixes)
         if group_mode:
-            prefix_sets = [frozenset(xs) for xs in prefix_ints]
+            self.prefix_sets = prefix_sets = [frozenset(xs) for xs in prefix_ints]
         else:
             prefix_counts = [Counter(xs) for xs in prefix_ints]
-        used = [False] * n
+        self.sigma, self.restr, self.used = sigma, restr, used = [], [], [False] * n
+        self.found = []
         in_sizes = [len(h) for h in self.proj_in]
         out_sizes = [len(h) for h in self.proj_out]
 
-        def rec(j: int, current: list[int]) -> bool:
+        def descend(j: int, current: list[int]) -> Leaf | None:
             self.nodes += 1
             if self.nodes > self.max_nodes:
-                raise ResourceLimitError(
-                    f"isomorphism search exceeded {self.max_nodes} nodes",
-                    partial_generators=tuple(leaves))
+                raise self._cap_error()
             if j == n:
                 if group_mode:
                     words = prefix_sets[n]
@@ -192,10 +206,7 @@ class _IsoSearch:
                 else:
                     distinct = set(current)
                     ok = distinct == prefix_counts[n].keys() and len(distinct) == C.size
-                if ok:
-                    leaves.append((tuple(sigma), tuple(restr)))
-                    return not find_all
-                return False
+                return (tuple(sigma), tuple(restr)) if ok else None
             if group_mode:
                 ps = prefix_sets[j + 1]
             else:
@@ -214,16 +225,165 @@ class _IsoSearch:
                     used[i] = True
                     sigma.append(i)
                     restr.append(fmap)
-                    done = rec(j + 1, nxt)
+                    leaf = descend(j + 1, nxt)
                     restr.pop()
                     sigma.pop()
                     used[i] = False
-                    if done:
-                        return True
-            return False
+                    if leaf is not None:
+                        return leaf
+            return None
 
-        rec(0, [0] * len(probes))
-        return leaves
+        return descend
+
+    def _cap_error(self) -> ResourceLimitError:
+        return ResourceLimitError(f"isomorphism search exceeded {self.max_nodes} nodes",
+                                  partial_generators=tuple(self.found))
+
+    def run(self) -> Leaf | None:
+        """The first search leaf (σ, per-coordinate restrictions) in DFS
+        order, extensions not expanded, or None if C and D are not isomorphic."""
+        descend = self._prepare()
+        return descend(0, [0] * len(self.probes))
+
+    def transversals(self) -> tuple[Leaf, list[list[Leaf]]]:
+        """Coset search of the leaves of Aut(C), for D = C (group mode).
+
+        L_j, the leaves that agree with the identity on output coordinates
+        0..j-1, is the subtree of the identity path's node at depth j; its
+        child (i, f) holds the leaves that also send input coordinate i to
+        output coordinate j by f, which, if any, are the coset
+        {h∘g : h in L_(j+1)} of any one of them, g (Leon, J. Symbolic
+        Comput. 12, 1991). So the search walks the identity path and then,
+        deepest node first, runs one find-one search under each other child.
+        It returns the identity leaf and, per depth j, the leaves g found:
+        L_j is L_(j+1) and its cosets L_(j+1)∘g, so |L| = prod (1 + |found_j|).
+        It visits a subset of the find-all search's nodes, disjoint subtrees
+        below a path it shares."""
+        descend = self._prepare()
+        n, q = self.n, self.q
+        columns, prefix_sets = self.columns, self.prefix_sets
+        sigma, restr, used = self.sigma, self.restr, self.used
+        # walk the identity path: its restrictions, and the probe images
+        # at each of its nodes
+        idents = [next(f for f, table in self._candidate_maps(j, j)
+                       if all(table[a] == a for a in self.proj_in[j])) for j in range(n)]
+        images = [[0] * len(self.probes)]
+        for j in range(n):
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
+                raise self._cap_error()
+            images.append([img * q + c for img, c in zip(images[j], columns[j])])
+            used[j] = True
+            sigma.append(j)
+            restr.append(idents[j])
+        self.nodes += 1  # the identity leaf
+        if self.nodes > self.max_nodes:
+            raise self._cap_error()
+        identity = (tuple(sigma), tuple(restr))
+        found: list[list[Leaf]] = [[] for _ in range(n)]
+        for j in reversed(range(n)):
+            restr.pop()
+            sigma.pop()
+            used[j] = False
+            ps = prefix_sets[j + 1]
+            for i in range(n):
+                if used[i] or len(self.proj_in[i]) != len(self.proj_out[j]):
+                    continue
+                column = columns[i]
+                for fmap, table in self._candidate_maps(i, j):
+                    if i == j and fmap is idents[j]:
+                        continue
+                    nxt = [img * q + table[c] for img, c in zip(images[j], column)]
+                    if not ps.issuperset(nxt):
+                        continue
+                    used[i] = True
+                    sigma.append(i)
+                    restr.append(fmap)
+                    leaf = descend(j + 1, nxt)
+                    restr.pop()
+                    sigma.pop()
+                    used[i] = False
+                    if leaf is not None:
+                        found[j].append(leaf)
+                        self.found.append(leaf)
+        return identity, found
+
+    def _canonical(self, i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
+        """The position and the dict of the restriction pi_i(C) -> pi_j(D)
+        given as a lookup list in ``_candidate_maps(i, j)``; a map missing
+        from it is no subgroup isomorphism, which no composite or conjugate
+        of automorphisms can be."""
+        cands = self._candidate_maps(i, j)
+        index = self._indices.get(id(cands))
+        if index is None:
+            index = self._indices[id(cands)] = {
+                tuple(tb): (pos, f) for pos, (f, tb) in enumerate(cands)}
+        hit = index.get(tuple(table))
+        if hit is None:
+            raise TheoremViolationError(
+                f"a composed or conjugated restriction of coordinate {i} onto {j} "
+                f"is no subgroup isomorphism; the automorphism assembly is buggy")
+        return hit
+
+    def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]]) -> Iterator[Leaf]:
+        """Every leaf of Aut(C) from ``transversals``, lazily, in the
+        find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1),
+        k_1, ...) with k_j the position of restriction j in
+        ``_candidate_maps(σ(j), j)``.
+
+        With T_j the identity and the leaves found at depth j, a leaf
+        factors uniquely as t_(n-1)∘...∘t_0 with t_j in T_j, and its entry
+        j is that of x_j = t_j∘...∘t_0, since t_(n-1)∘...∘t_(j+1) fixes
+        coordinates 0..j. So the products x_j are ordered, level by level,
+        by their entry j: one composition per node of this coset tree."""
+        # restrictions go by the ids of their dicts, each known with its
+        # position in its candidate list; candidate lists hold every dict,
+        # so the ids stay unique
+        known = {id(f): (f, k) for cands in self._map_cache.values()
+                 for k, (f, _) in enumerate(cands)}
+        n = self.n
+        # None stands for the identity
+        levels = [[None] + [(sigma, tuple(map(id, restr))) for sigma, restr in reps]
+                  for reps in found]
+
+        def below(j: int, x: tuple) -> Iterator[Leaf]:
+            if j == n:
+                yield x[0], tuple([known[a][0] for a in x[1]])
+                return
+            products = [x if t is None else self._times(t, x, known) for t in levels[j]]
+            products.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
+            for y in products:
+                yield from below(j + 1, y)
+
+        return below(0, (identity[0], tuple(map(id, identity[1]))))
+
+    def _times(self, h: tuple, g: tuple, known: dict[int, tuple[dict[int, int], int]]) -> tuple:
+        """h∘g (g applied first) for leaves with restrictions as ids, for
+        D = C: σ(t) = σ_g(σ_h(t)), and restriction t is f_h,t∘f_g,σ_h(t),
+        the canonical dict, found by its table once and then cached."""
+        h_sigma, h_restr = h
+        g_sigma, g_restr = g
+        sigma = tuple(map(g_sigma.__getitem__, h_sigma))
+        pairs = list(zip(h_restr, map(g_restr.__getitem__, h_sigma)))
+        get = self._composed.get
+        restr = tuple(map(get, pairs))
+        if None in restr:  # a product not met before
+            restr = tuple([get(pair) or self._product(i, t, *pair, known)
+                           for t, (i, pair) in enumerate(zip(sigma, pairs))])
+        return sigma, restr
+
+    def _product(self, i: int, t: int, a: int, b: int,
+                 known: dict[int, tuple[dict[int, int], int]]) -> int:
+        """The id of a∘b, given by ids, as the canonical restriction
+        pi_i(C) -> pi_t(C), entered in ``known`` and cached."""
+        fa, fb = known[a][0], known[b][0]
+        table = [-1] * self.q
+        for x in self.proj_in[i]:
+            table[x] = fa[fb[x]]
+        pos, f = self._canonical(i, t, table)
+        known[id(f)] = (f, pos)
+        self._composed[a, b] = id(f)
+        return id(f)
 
     # leaf expansion -------------------------------------------------
 
@@ -260,18 +420,10 @@ class _IsoSearch:
         maps = tuple(self._extension(sigma[j], restr[j], self.comp_out[j]) for j in range(self.n))
         return Isometry._build(maps, sigma)
 
-    def extension_count(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> int:
+    def extension_count(self) -> int:
         """Bijective extensions over a leaf: prod_i |complement of pi_i(C)|!,
         the same for every leaf since σ permutes the input coordinates."""
         return math.prod(math.factorial(len(comp)) for comp in self.comp_in)
-
-    def leaf_maps(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]
-                  ) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """The per-coordinate maps of every ambient isometry over one leaf,
-        every bijective extension, in lexicographic order."""
-        sigma, restr = leaf
-        return itertools.product(*[self._extensions(sigma[j], j, restr[j])
-                                   for j in range(self.n)])
 
 
 def gc_isomorphic(C: GroupCode, D: GroupCode, *, max_nodes: int = DEFAULT_MAX_NODES) -> GroupCodeIso | None:
@@ -292,10 +444,10 @@ def gc_isomorphic(C: GroupCode, D: GroupCode, *, max_nodes: int = DEFAULT_MAX_NO
     if sorted(map(len, C.coordinate_projections)) != sorted(map(len, D.coordinate_projections)):
         return None
     search = _IsoSearch(C, D, group_mode=True, max_nodes=max_nodes)
-    leaves = search.run(find_all=False)
-    if not leaves:
+    leaf = search.run()
+    if leaf is None:
         return None
-    witness = GroupCodeIso(search.witness_from_leaf(leaves[0]), C, D)
+    witness = GroupCodeIso(search.witness_from_leaf(leaf), C, D)
     if not witness.verify():
         raise TheoremViolationError("search produced an invalid isomorphism witness")
     return witness
@@ -312,26 +464,34 @@ def code_equivalent(C: Code, D: Code, *, max_nodes: int = DEFAULT_MAX_NODES) -> 
     if sorted(map(len, C.coordinate_projections)) != sorted(map(len, D.coordinate_projections)):
         return None
     search = _IsoSearch(C, D, group_mode=False, max_nodes=max_nodes)
-    leaves = search.run(find_all=False)
-    if not leaves:
+    leaf = search.run()
+    if leaf is None:
         return None
-    return search.witness_from_leaf(leaves[0])
+    return search.witness_from_leaf(leaf)
 
 
 @dataclass(frozen=True)
 class AutGroupReport:
     """Automorphism group of a group code.
 
-    ``elements`` is populated when the order fits the explicit cap;
-    otherwise only generators and the exact order are reported.
-    ``structure`` rows are (isotype index, |Aut| of the component, alpha).
+    ``element_pairs`` lists every automorphism f∘σ̄ as (σ, f) when the
+    order fits the explicit cap, sorted; ``elements`` builds them as
+    isometries on first access. Otherwise only generators and the exact
+    order are reported. ``structure`` rows are (isotype index, |Aut| of
+    the component, alpha).
     """
 
     order: int
     generators: tuple[GroupCodeIso, ...]
-    elements: tuple[Isometry, ...] | None
+    element_pairs: tuple[ElementPair, ...] | None
     structure: tuple[tuple[int, int, int], ...] | None
     complete: bool = True
+
+    @cached_property
+    def elements(self) -> tuple[Isometry, ...] | None:
+        if self.element_pairs is None:
+            return None
+        return tuple([Isometry._build(maps, sigma) for sigma, maps in self.element_pairs])
 
 
 def _greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> list[int]:
@@ -353,38 +513,50 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
 
     Counts ambient isometries: every bijective extension of the
     per-coordinate maps off the coordinate projections is its own
-    automorphism. The search leaves come from C's decomposition (see
+    automorphism. The automorphisms come from C's decomposition (see
     ``_aut_leaves``): the supplied one, which also yields the structure
     rows and the check of the order against prod |Aut(D_j)|^alpha_j *
     alpha_j!, or else ``decompose(C, max_bits=max_bits)``. ``max_nodes``
-    caps every search. ``phases`` receives the wall time of the search,
-    the element list, the generator choice and the structure check.
+    caps every search and the number of search leaves put together.
+    ``phases`` receives the wall time of the decomposition (when not
+    supplied), the search, the element list, the generator choice and
+    the structure check.
     """
     if phases is None:
         phases = Phases()
     q, n = C.alphabet.order, C.length
     if q == 1:
-        ident = identity_isometry(1, n)
         return AutGroupReport(order=1, generators=(),
-                              elements=(ident,), structure=None)
+                              element_pairs=((tuple(range(n)), ((0,),) * n),), structure=None)
+    if decomposition is None:
+        from .decompose import DEFAULT_PARTITION_BITS, decompose  # decompose imports this module
+        with phases("decompose"):
+            try:
+                dec = decompose(C, max_bits=DEFAULT_PARTITION_BITS if max_bits is None else max_bits,
+                                max_nodes=max_nodes)
+            except ResourceLimitError:
+                dec = None  # then C is searched as one block
+    else:
+        decomposition.check(C)
+        dec = decomposition
+    if dec is None or dec.indecomposable:
+        dec = _one_block(C)
     with phases("search"):
-        search, leaves, rows = _aut_leaves(C, decomposition, max_nodes=max_nodes,
-                                           max_bits=max_bits)
-    order = len(leaves) * search.extension_count(leaves[0])  # the identity is a leaf
+        search, rep_leaves, rows, count = _aut_leaves(C, dec, max_nodes=max_nodes)
+    order = count * search.extension_count()
 
-    elements: tuple[Isometry, ...] | None
+    pairs: tuple[ElementPair, ...] | None = None
     if order <= explicit_cap:
         with phases("elements"):
-            expanded = [(leaf[0], maps) for leaf in leaves for maps in search.leaf_maps(leaf)]
-            expanded.sort()  # by (σ, maps)
-            elements = tuple([Isometry._build(maps, sigma) for sigma, maps in expanded])
+            pairs = tuple(_direct_elements(search, dec, rep_leaves))
         with phases("generators"):
-            picks = _greedy_picks(map(to_points, elements), q * n, order)
-            gen_isos = tuple(elements[k] for k in picks)
+            picks = _greedy_picks((pair_points(sigma, maps, q) for sigma, maps in pairs),
+                                  q * n, order)
+            gen_isos = tuple(Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
     else:
-        elements = None
         with phases("generators"):
-            gen_isos = _large_order_generators(search, leaves)
+            gen_isos = _large_order_generators(search, _assemble(search, dec, rep_leaves),
+                                               count)
     generators = tuple(GroupCodeIso(g, C, C) for g in gen_isos)
 
     structure: tuple[tuple[int, int, int], ...] | None = None
@@ -398,134 +570,151 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
                     f"prediction {predicted}; decomposition or search is buggy")
             structure = rows
     return AutGroupReport(order=order, generators=generators,
-                          elements=elements, structure=structure)
+                          element_pairs=pairs, structure=structure)
 
 
-Leaf = tuple[tuple[int, ...], tuple[dict[int, int], ...]]
+def _one_block(C: GroupCode) -> "Decomposition":
+    """C as its only block, for a C that is indecomposable or whose own
+    decomposition hit a cap: a decomposition, though maybe not into
+    indecomposables, whose one component is C itself."""
+    from .decompose import Decomposition, Partition  # decompose imports this module
+    ident = identity_isometry(C.alphabet.order, C.length)
+    return Decomposition(partition=Partition((tuple(range(C.length)),)), components=(C,),
+                         isotypes=((0, 1),), isotype_members=((0,),), witness=ident,
+                         certificates=(None,), isotype_witnesses=(ident,))
 
 
-def _aut_leaves(C: GroupCode, decomposition: "Decomposition | None", *,
-                max_nodes: int, max_bits: int | None
-                ) -> tuple[_IsoSearch, list[Leaf], tuple[tuple[int, int, int], ...]]:
-    """C's automorphism search leaves, equal to those of the whole-code
-    search ``_IsoSearch(C, C).run(find_all=True)`` and in its order, with
-    the structure rows (isotype, |Aut| of its representative, alpha).
+def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
+                ) -> tuple[_IsoSearch, list[Iterator[Leaf]], tuple[tuple[int, int, int], ...], int]:
+    """The automorphism search leaves of each isotype representative, lazily
+    and in DFS order (``_IsoSearch.dfs_leaves``), with the search over C
+    (which owns C's candidate lists), the structure rows (isotype, |Aut| of
+    its representative, alpha) and the number of C's search leaves.
 
     By the product formula Aut(⊕ D_j^alpha_j) = prod Aut(D_j) ≀ Sym(alpha_j),
-    only one representative per isotype is searched; the other leaves are
-    assembled from them (``_assemble``). An indecomposable C, or one whose
-    own decomposition hits a cap, is searched as one block.
+    only one representative per isotype is searched, by the coset search
+    (``_IsoSearch.transversals``), and C has prod alpha! |L_K|^alpha
+    leaves. That count is checked against ``max_nodes`` before any leaf
+    is composed; a leaf is a node of the find-all search, so no input it
+    answered is refused. A one-block decomposition searches C itself.
     """
     maps: dict = {}  # candidate lists, shared by every search over this alphabet
     search = _IsoSearch(C, C, group_mode=True, max_nodes=max_nodes, maps=maps)
-    dec = decomposition
-    if dec is None:
-        from .decompose import DEFAULT_PARTITION_BITS, decompose  # decompose imports this module
-        try:
-            dec = decompose(C, max_bits=DEFAULT_PARTITION_BITS if max_bits is None else max_bits,
-                            max_nodes=max_nodes)
-        except ResourceLimitError:
-            dec = None
-    else:
-        dec.check(C)
-    if dec is None or dec.indecomposable:
-        try:
-            leaves = search.run(find_all=True)
-        except ResourceLimitError as err:
-            raise _capped(search, "the whole code", err.partial_generators) from None
-        return search, leaves, ((0, len(leaves) * search.extension_count(leaves[0]), 1),)
-
-    rep_leaves: list[list[Leaf]] = []
+    one_block = len(dec.partition.blocks) == 1
+    searched: list[tuple[_IsoSearch, Leaf, list[list[Leaf]]]] = []
+    representatives: list[list[Leaf]] = []  # the coset representatives found
+    sizes = []
     rows = []
-    for t, (rep, alpha) in enumerate(dec.isotypes):
+    for t, ((rep, _), members) in enumerate(zip(dec.isotypes, dec.isotype_members)):
         K = dec.components[rep]
         if not isinstance(K, GroupCode):
             raise PreconditionError("structure prediction needs group-code components")
-        ksearch = _IsoSearch(K, K, group_mode=True, max_nodes=max_nodes, maps=maps)
+        ksearch = search if one_block else _IsoSearch(K, K, group_mode=True,
+                                                      max_nodes=max_nodes, maps=maps)
         try:
-            rep_leaves.append(ksearch.run(find_all=True))
+            identity, found = ksearch.transversals()
         except ResourceLimitError as err:
-            found = _lifted(search, dec, rep_leaves + [err.partial_generators])
-            raise _capped(search, f"component {rep} (isotype {t})", found) from None
-        rows.append((t, len(rep_leaves[-1]) * ksearch.extension_count(rep_leaves[-1][0]), alpha))
-    count = math.prod(math.factorial(alpha) * len(kleaves)**alpha
-                      for (_, alpha), kleaves in zip(dec.isotypes, rep_leaves))
+            lifted = _lifted(search, dec, representatives + [err.partial_generators])
+            what = "the whole code" if one_block else f"component {members[0]} (isotype {t})"
+            raise _capped(search, what, lifted) from None
+        searched.append((ksearch, identity, found))
+        representatives.append([g for reps in found for g in reps])
+        sizes.append(math.prod(1 + len(reps) for reps in found))
+        rows.append((t, sizes[-1] * ksearch.extension_count(), len(members)))
+    count = math.prod(math.factorial(len(members)) * size**len(members)
+                      for members, size in zip(dec.isotype_members, sizes))
     if count > max_nodes:
-        found = _lifted(search, dec, rep_leaves)
+        lifted = _lifted(search, dec, representatives)
         raise ResourceLimitError(
             f"assembling {count} automorphism search leaves exceeds the cap of "
-            f"{max_nodes}; non-identity automorphisms found: {len(found)}",
-            partial_generators=_witnesses(search, found), incomplete=True)
-    return search, _assemble(search, dec, rep_leaves), tuple(rows)
+            f"{max_nodes}; non-identity automorphisms found: {len(lifted)}",
+            partial_generators=_witnesses(search, lifted), incomplete=True)
+    rep_leaves = [ks.dfs_leaves(identity, found) for ks, identity, found in searched]
+    return search, rep_leaves, tuple(rows), count
 
 
-def _assemble(search: _IsoSearch, dec: "Decomposition",
-              rep_leaves: list[list[Leaf]]) -> list[Leaf]:
-    """Every leaf of C from the leaves of the isotype representatives.
+def _block_sources(dec: "Decomposition") -> Iterator[list[int]]:
+    """Every permutation of the blocks within each isotype, as the block
+    ``source[k]`` that is carried onto block k."""
+    for rhos in itertools.product(*[itertools.permutations(m) for m in dec.isotype_members]):
+        source = [0] * len(dec.partition.blocks)
+        for members, rho in zip(dec.isotype_members, rhos):
+            for k_out, k_in in zip(members, rho):
+                source[k_out] = k_in
+        yield source
 
-    Per isotype, a bijection ρ of its blocks and one representative leaf
-    a per block: block ρ(k) is carried onto block k by w_k∘a∘w_ρ(k)^-1,
-    with w the decomposition's isotype witnesses. The leaves are sorted
-    into the whole-code search's DFS order, lexicographic in (σ(0), k_0,
-    σ(1), k_1, ...) with k_j the position of restriction j in
-    ``_candidate_maps(σ(j), j)``, and carry the dicts of those lists.
-    """
+
+def _conjugated(search: _IsoSearch, dec: "Decomposition",
+                rep_leaves: Sequence[Iterable[Leaf]]) -> dict[tuple[int, int], list[tuple]]:
+    """Each representative leaf a carried from block k_in onto block k_out
+    of its isotype, w_out∘a∘w_in^-1 with w the isotype witnesses: per
+    (k_in, k_out), one tuple per leaf of its σ, its restrictions (C's
+    canonical dicts, ``_IsoSearch._canonical``) and its DFS sort keys
+    σ(j)·span + (position of restriction j in ``_candidate_maps(σ(j), j)``),
+    each over the coordinates j of block k_out in order."""
     q = search.q
     blocks = dec.partition.blocks
     span = math.factorial(q)  # more candidate maps than any list holds
-    indices: dict[int, dict[tuple[int, ...], tuple[int, dict[int, int]]]] = {}
-
-    def canonical(i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
-        cands = search._candidate_maps(i, j)
-        index = indices.get(id(cands))
-        if index is None:
-            index = indices[id(cands)] = {tuple(tb): (pos, f) for pos, (f, tb) in enumerate(cands)}
-        hit = index.get(tuple(table))
-        if hit is None:
-            raise TheoremViolationError(
-                f"an assembled restriction of coordinate {i} onto {j} is no "
-                f"subgroup isomorphism; decomposition or witnesses are buggy")
-        return hit
-
-    # block k's witness w_k: K -> D_k as (σ, maps), and its inverse
+    # block k's witness w_k as (σ, maps), and its inverse
     perms = [w.equiv.perm for w in dec.isotype_witnesses]
     fmaps = [w.config.maps for w in dec.isotype_witnesses]
     inv_perms = [sorted(range(len(perm)), key=perm.__getitem__) for perm in perms]
     inv_maps = [[sorted(range(q), key=f.__getitem__) for f in fs] for fs in fmaps]
-
-    # parts[(k_in, k_out)][a]: σ, restrictions and sort keys over block
-    # k_out, as one tuple
     parts: dict[tuple[int, int], list[tuple]] = {}
-    composed: dict[tuple[int, int, int], tuple[int, dict[int, int]]] = {}
-    for members, kleaves in zip(dec.isotype_members, rep_leaves):
+    # g∘f∘h by the ids of g, f and h, which this call holds, and the
+    # projections of its coordinates i and j, which fix its candidate list
+    composed: dict[tuple[int, int, int, int, int], tuple[int, dict[int, int]]] = {}
+    projections: dict[tuple[int, ...], int] = {}
+    kind_in = [projections.setdefault(p, len(projections)) for p in search.proj_in]
+    kind_out = [projections.setdefault(p, len(projections)) for p in search.proj_out]
+    positions, dicts, keys = itemgetter(0), itemgetter(1), span.__mul__
+    for members, kleaves in zip(dec.isotype_members, map(list, rep_leaves)):
         for k_out in members:
+            block, order, gs = blocks[k_out], perms[k_out], fmaps[k_out]
+            kinds = [kind_out[j] for j in block]
             for k_in in members:
+                # for each coordinate of the representative: C's input
+                # coordinate and the inverse witness map there
+                coords = [blocks[k_in][u] for u in inv_perms[k_in]]
+                hs = [inv_maps[k_in][u] for u in inv_perms[k_in]]
                 options = parts[k_in, k_out] = []
                 for tau, restr in kleaves:
-                    sig, res, key = [], [], []
-                    for t, j in enumerate(blocks[k_out]):
-                        s = perms[k_out][t]
-                        u = inv_perms[k_in][tau[s]]
-                        i = blocks[k_in][u]
-                        f = restr[s]
-                        # i fixes k_in and u, j fixes k_out and t; leaves share restrictions
-                        hit = composed.get((i, j, id(f)))
-                        if hit is None:
-                            g, h = fmaps[k_out][t], inv_maps[k_in][u]
-                            table = [-1] * q
-                            for a in search.proj_in[i]:
+                    sig = tuple([coords[tau[s]] for s in order])
+                    fs = list(map(restr.__getitem__, order))
+                    hs_t = list(map(hs.__getitem__, map(tau.__getitem__, order)))
+                    found = list(zip(map(id, gs), map(id, fs), map(id, hs_t),
+                                     map(kind_in.__getitem__, sig), kinds))
+                    hits = list(map(composed.get, found))
+                    for t in [t for t, hit in enumerate(hits) if hit is None]:
+                        g, f, h = gs[t], fs[t], hs_t[t]
+                        table = [-1] * q
+                        for a in search.proj_in[sig[t]]:
+                            # a wrong witness may leave f's domain; the
+                            # table is then no candidate, and _canonical raises
+                            if h[a] in f:
                                 table[a] = g[f[h[a]]]
-                            hit = composed[i, j, id(f)] = canonical(i, j, table)
-                        sig.append(i)
-                        res.append(hit[1])
-                        key.append(i * span + hit[0])
-                    options.append(tuple(sig + res + key))
+                        hits[t] = composed[found[t]] = search._canonical(sig[t], block[t], table)
+                    options.append(sig + tuple(map(dicts, hits))
+                                   + tuple(map(add, map(keys, sig), map(positions, hits))))
+    return parts
 
+
+def _assemble(search: _IsoSearch, dec: "Decomposition",
+              rep_leaves: Sequence[Iterable[Leaf]]) -> Iterable[Leaf]:
+    """Every leaf of C from the leaves of the isotype representatives, for
+    every block permutation within each isotype and every tuple of
+    conjugated representative leaves (``_conjugated``), sorted into the
+    find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1,
+    ...) with k_j the position of restriction j in ``_candidate_maps(σ(j),
+    j)``. One block has C's own leaves, which come in that order."""
+    if len(dec.partition.blocks) == 1:
+        return rep_leaves[0]
+    parts = _conjugated(search, dec, rep_leaves)
     # where coordinate j's σ, restriction and key sit in the parts of
     # blocks 0, 1, ... concatenated
     at = [[0] * search.n for _ in range(3)]
     offset = 0
-    for block in blocks:
+    for block in dec.partition.blocks:
         for t, j in enumerate(block):
             for field in range(3):
                 at[field][j] = offset + field * len(block) + t
@@ -533,34 +722,67 @@ def _assemble(search: _IsoSearch, dec: "Decomposition",
     sig_of, res_of, key_of = (itemgetter(*where) for where in at)
     chain = itertools.chain.from_iterable
     records = []
-    for rhos in itertools.product(*[itertools.permutations(m) for m in dec.isotype_members]):
-        source = [0] * len(blocks)
-        for members, rho in zip(dec.isotype_members, rhos):
-            for k_out, k_in in zip(members, rho):
-                source[k_out] = k_in
-        for combo in itertools.product(*[parts[source[k], k] for k in range(len(blocks))]):
+    for source in _block_sources(dec):
+        for combo in itertools.product(*[parts[source[k], k] for k in range(len(dec.partition.blocks))]):
             flat = tuple(chain(combo))
             records.append((key_of(flat), sig_of(flat), res_of(flat)))
     records.sort(key=itemgetter(0))
     return [(sig, res) for _, sig, res in records]
 
 
-def _is_identity_leaf(leaf: Leaf) -> bool:
-    sigma, restr = leaf
-    return (sigma == tuple(range(len(sigma)))
-            and all(a == b for f in restr for a, b in f.items()))
+def _maps_over(search: _IsoSearch, sigma: Sequence[int], outputs: Sequence[int],
+               restr: Sequence[dict[int, int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every bijective extension of the restrictions pi_σ(t)(C) -> pi_j(C),
+    j = outputs[t], in lexicographic order."""
+    return itertools.product(*[search._extensions(i, j, f)
+                               for i, j, f in zip(sigma, outputs, restr)])
+
+
+def _direct_elements(search: _IsoSearch, dec: "Decomposition",
+                     rep_leaves: Sequence[Iterable[Leaf]]) -> list[ElementPair]:
+    """Every automorphism of C as (σ, maps), sorted, without C's leaf list:
+    each conjugated representative leaf (``_conjugated``) with every
+    bijective extension of its restrictions, composed over every block
+    permutation within each isotype. One block only expands C's
+    own leaves."""
+    blocks = dec.partition.blocks
+    if len(blocks) == 1:
+        elements = [(sigma, maps) for sigma, restr in rep_leaves[0]
+                    for maps in _maps_over(search, sigma, blocks[0], restr)]
+        elements.sort()
+        return elements
+    expanded = {}
+    for (k_in, k_out), options in _conjugated(search, dec, rep_leaves).items():
+        block, width = blocks[k_out], len(blocks[k_out])
+        expanded[k_in, k_out] = [
+            (option[:width], maps) for option in options
+            for maps in _maps_over(search, option[:width], block, option[width:2 * width])]
+    # coordinate j's place in the blocks' parts concatenated
+    at = [0] * search.n
+    for p, j in enumerate(itertools.chain.from_iterable(blocks)):
+        at[j] = p
+    reorder = itemgetter(*at)
+    elements = []
+    for source in _block_sources(dec):
+        for combo in itertools.product(*[expanded[source[k], k] for k in range(len(blocks))]):
+            sigma: list[int] = []
+            maps: list[tuple[int, ...]] = []
+            for part_sigma, part_maps in combo:
+                sigma += part_sigma
+                maps += part_maps
+            elements.append((reorder(sigma), reorder(maps)))
+    elements.sort()
+    return elements
 
 
 def _lifted(search: _IsoSearch, dec: "Decomposition",
             rep_leaves: Sequence[Sequence[Leaf]]) -> list[Leaf]:
-    """The non-identity leaves of the representatives searched so far, as
-    leaves of C that act on the representative's block only."""
+    """Leaves of the representatives, as leaves of C that act on the
+    representative's block only."""
     found = []
-    for (rep, _), kleaves in zip(dec.isotypes, rep_leaves):
-        block = dec.partition.blocks[rep]
+    for members, kleaves in zip(dec.isotype_members, rep_leaves):
+        block = dec.partition.blocks[members[0]]
         for tau, restr in kleaves:
-            if _is_identity_leaf((tau, restr)):
-                continue
             sigma = list(range(search.n))
             maps = [dict(zip(h, h)) for h in search.proj_in]
             for t, j in enumerate(block):
@@ -576,16 +798,16 @@ def _witnesses(search: _IsoSearch, leaves: Sequence[Leaf]) -> tuple[GroupCodeIso
 
 
 def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLimitError:
-    """The error of a capped automorphism search, with the non-identity
-    automorphisms found so far as partial generators."""
-    found = [leaf for leaf in found if not _is_identity_leaf(leaf)]
+    """The error of a capped automorphism search, with the coset
+    representatives found so far (none is the identity) as partial generators."""
     return ResourceLimitError(
         f"automorphism search of {what} exceeded {search.max_nodes} nodes; "
         f"non-identity automorphisms found: {len(found)}",
         partial_generators=_witnesses(search, found), incomplete=True)
 
 
-def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
+def _large_order_generators(search: _IsoSearch, leaves: Iterable[Leaf],
+                            count: int) -> tuple[Isometry, ...]:
     """Generators when the group is too large to materialize.
 
     Every automorphism permutes the points (i, a) with a in pi_i(C); the
@@ -593,6 +815,8 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
     automorphisms, and the leaves, one per coset of N, act as the quotient.
     Greedy generators of that action, as canonical leaf witnesses, plus
     two-element generator sets of each symmetric factor generate the group.
+    The ``count`` leaves are read in order, and only until the action is
+    generated.
     """
     q, n = search.q, search.n
     # the number of point (i, a), a in pi_i(C), indexed by i·q + a
@@ -600,16 +824,18 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
     for k, p in enumerate(i * q + a for i, dom in enumerate(search.proj_in) for a in dom):
         number[p] = k
     inv = [0] * n
+    read: list[Leaf] = []
 
     def action(leaf: Leaf) -> tuple[int, ...]:
         # (σ(j), a) goes to (j, f_j(a))
+        read.append(leaf)
         sigma, restr = leaf
         for j, i in enumerate(sigma):
             inv[i] = j
         return tuple([number[inv[i] * q + restr[inv[i]][a]]
                       for i, dom in enumerate(search.proj_in) for a in dom])
 
-    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), len(leaves))
+    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), count)
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):
@@ -622,7 +848,7 @@ def _large_order_generators(search: _IsoSearch, leaves) -> tuple[Isometry, ...]:
                     f[a] = b
                 maps[j] = tuple(f)
                 normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
-    return tuple([search.witness_from_leaf(leaves[k]) for k in picks] + normal_gens)
+    return tuple([search.witness_from_leaf(read[k]) for k in picks] + normal_gens)
 
 
 def _symmetric_generators(points: tuple[int, ...]) -> list[dict[int, int]]:

@@ -27,7 +27,7 @@ from .decompose import Decomposition, Partition
 from .errors import ClosureError, GroupCodesError, SchemaError
 from .groups import FiniteGroup, cyclic_group, group_from_table, product_group
 from .isometry import Configuration, Equivalence, Isometry
-from .isomorphy import AutGroupReport, GroupCodeIso
+from .isomorphy import AutGroupReport, ElementPair, GroupCodeIso
 
 
 def dumps(obj: Any) -> str:
@@ -315,7 +315,8 @@ def aut_report_dumps(r: AutGroupReport) -> str:
     doc: dict = {"order": r.order,
                  "generators": [gc_witness_to_json(g) for g in r.generators],
                  "complete": r.complete,
-                 "elements": None if r.elements is None else _ElementList(r.elements)}
+                 "elements": (None if r.element_pairs is None
+                              else _ElementList(r.element_pairs))}
     if r.structure is not None:
         doc["structure"] = [{"isotype": i, "component_aut_order": o, "alpha": a}
                             for i, o, a in r.structure]
@@ -324,10 +325,11 @@ def aut_report_dumps(r: AutGroupReport) -> str:
 
 class _ElementList:
     """The ``elements`` of an automorphism report, for ``dumps``: each
-    element written as ``isometry_to_json`` gives it, with each distinct σ
-    and each distinct alphabet map rendered once per report."""
+    element, given as (σ, maps), written as ``isometry_to_json`` gives its
+    isometry, with each distinct σ and each distinct alphabet map rendered
+    once per report."""
 
-    def __init__(self, elements: Sequence[Isometry]) -> None:
+    def __init__(self, elements: Sequence[ElementPair]) -> None:
         self.elements = elements
 
     def text(self, nl: str) -> str:
@@ -345,8 +347,7 @@ class _ElementList:
         sigmas: dict[tuple[int, ...], str] = {}
         fs: dict[tuple[int, ...], str] = {}
         texts = []
-        for el in self.elements:
-            perm, maps = el.equiv.perm, el.config.maps
+        for perm, maps in self.elements:
             sigma = sigmas.get(perm)
             if sigma is None:
                 sigma = sigmas[perm] = "[" + e3 + sep3.join([str(i + 1) for i in perm]) + e2 + "]"

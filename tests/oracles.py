@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from operator import itemgetter
 from typing import Sequence
@@ -13,7 +14,8 @@ from groupcodes.decompose import decompose
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                                TheoremViolationError)
 from groupcodes.isometry import Configuration, Equivalence, Isometry, compose, to_points
-from groupcodes.isomorphy import AutGroupReport, _greedy_picks, gc_isomorphic
+from groupcodes.isomorphy import (AutGroupReport, GroupCodeIso, _greedy_picks,
+                                  _large_order_generators, gc_isomorphic)
 
 
 def mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
@@ -44,9 +46,69 @@ def greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
     return tuple(elements[k] for k in _greedy_picks(points, len(points[0]), len(points)))
 
 
+def find_all_leaves(search) -> list:
+    """Every leaf (σ, restrictions) of the group-mode search tree of
+    ``search``, in DFS order, visiting every node: the find-all search the
+    coset search (``_IsoSearch.transversals``) replaced. Nodes count on
+    ``search.nodes`` against ``search.max_nodes``. A prefix is kept when
+    the images of all codewords of C, not only of a generating set, are
+    prefixes of words of D; the map is a homomorphism on each coordinate,
+    so both tests keep the same nodes."""
+    C, D, n = search.C, search.D, search.n
+    prefixes = [{w[:k] for w in D.words} for k in range(n + 1)]
+    leaves: list = []
+    sigma: list[int] = []
+    restr: list[dict[int, int]] = []
+
+    def rec(j: int, images: list[tuple[int, ...]]) -> None:
+        search.nodes += 1
+        if search.nodes > search.max_nodes:
+            raise ResourceLimitError(f"isomorphism search exceeded {search.max_nodes} nodes")
+        if j == n:
+            leaves.append((tuple(sigma), tuple(restr)))
+            return
+        for i in range(n):
+            if i in sigma or len(search.proj_in[i]) != len(search.proj_out[j]):
+                continue
+            for fmap, _ in search._candidate_maps(i, j):
+                nxt = [y + (fmap[w[i]],) for y, w in zip(images, C.words)]
+                if prefixes[j + 1].issuperset(nxt):
+                    sigma.append(i)
+                    restr.append(fmap)
+                    rec(j + 1, nxt)
+                    restr.pop()
+                    sigma.pop()
+
+    rec(0, [()] * C.size)
+    return leaves
+
+
+def leaf_maps(search, leaf) -> list[tuple[tuple[int, ...], ...]]:
+    """The per-coordinate maps of every ambient isometry over one search
+    leaf, every bijective extension, in lexicographic order."""
+    sigma, restr = leaf
+    return list(itertools.product(*[search._extensions(sigma[j], j, restr[j])
+                                    for j in range(search.n)]))
+
+
 def expand_leaf(search, leaf) -> list[Isometry]:
     """All ambient isometries over one search leaf: every bijective extension."""
-    return [Isometry._build(maps, leaf[0]) for maps in search.leaf_maps(leaf)]
+    return [Isometry._build(maps, leaf[0]) for maps in leaf_maps(search, leaf)]
+
+
+def aut_group_from_leaves(search, leaves, *, explicit_cap: int) -> AutGroupReport:
+    """The automorphism group from the find-all leaves of the search over
+    the whole code C = D: expanded, sorted and read by the greedy choice,
+    or, past ``explicit_cap``, read by ``_large_order_generators``."""
+    C = search.C
+    order = len(leaves) * search.extension_count()
+    if order > explicit_cap:
+        gens = _large_order_generators(search, leaves, len(leaves))
+        return AutGroupReport(order, tuple(GroupCodeIso(g, C, C) for g in gens), None, None)
+    pairs = sorted((leaf[0], maps) for leaf in leaves for maps in leaf_maps(search, leaf))
+    elements = [Isometry._build(maps, sigma) for sigma, maps in pairs]
+    gens = greedy_generators(elements)
+    return AutGroupReport(order, tuple(GroupCodeIso(g, C, C) for g in gens), tuple(pairs), None)
 
 
 def aut_report_to_json(r: AutGroupReport) -> dict:

@@ -268,7 +268,7 @@ def test_parser_built_once_leaks_no_state_between_calls(files, capsys):
     (["analyze", "z4"], ["load", "parameters", "classification", "certificates",
                          "decomposition", "cyclic", "report"]),
     (["decompose", "d2"], ["load", "compute", "report"]),
-    (["aut", "d"], ["load", "search", "elements", "generators", "report"]),
+    (["aut", "d"], ["load", "decompose", "search", "elements", "generators", "report"]),
     (["aut", "d2", "--with-structure"], ["load", "decompose", "search", "elements",
                                          "generators", "structure", "report"]),
     (["iso", "d", "rep"], ["load", "compute", "report"]),

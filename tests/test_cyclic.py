@@ -125,6 +125,19 @@ def test_cyclic_structure_rejects_non_cyclic(z4_code):
         gc.cyclic_structure(z4_code)
 
 
+def test_cyclic_report_scans_cyclicity_once(code_d, z4_code, monkeypatch):
+    C = gc.interleave(code_d, 2)
+    lengths = []
+    scan = cyclic.is_cyclic
+    monkeypatch.setattr(cyclic, "is_cyclic", lambda D: lengths.append(D.length) or scan(D))
+    report = gc.cyclic_report(C)
+    assert report.gcd_certificate is None and report.component_structure.multiplicity == 2
+    assert lengths == [6, 3, 3]  # the code once, then each component
+    # direct callers still get the precondition
+    with pytest.raises(PreconditionError):
+        gc.gcd_certificate(z4_code)
+
+
 def test_gcd_certificate_cases(code_d, z2, z3):
     # |C| = 8, n = 3: xi = 3, gcd(3, 3) = 3, certificate silent
     assert gc.gcd_certificate(gc.full_space(z2, 3)) is None

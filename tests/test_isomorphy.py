@@ -13,7 +13,7 @@ import groupcodes as gc
 from groupcodes.catalog import repetition_code
 from groupcodes.errors import IncompatibleError, ResourceLimitError
 from groupcodes.isomorphy import _IsoSearch, _large_order_generators, _symmetric_generators
-from oracles import expand_leaf, greedy_generators, mul_closure
+from oracles import expand_leaf, find_all_leaves, greedy_generators, mul_closure
 
 
 def brute_force_gc_automorphism_count(C: gc.GroupCode) -> int:
@@ -398,9 +398,9 @@ def z4_half_sum(z4, halves, reps, scramble_seed=None):
 def test_large_order_generators_match_scratch_quotient_greedy(z4, halves, reps, seed, closes):
     C = z4_half_sum(z4, halves, reps, seed)
     search = _IsoSearch(C, C, group_mode=True)
-    leaves = search.run(find_all=True)
-    order = sum(search.extension_count(leaf) for leaf in leaves)
-    gens = _large_order_generators(search, leaves)
+    leaves = find_all_leaves(search)
+    order = len(leaves) * search.extension_count()
+    gens = _large_order_generators(search, leaves, len(leaves))
     assert gens == scratch_large_order_generators(search, leaves)
     report = gc.aut_group(C, explicit_cap=1)  # force the generators-only path
     assert report.elements is None and report.order == order
@@ -455,8 +455,8 @@ def test_plain_search_matches_isometry_enumeration(data):
 def test_canonical_witness_is_first_extension(z4):
     # the witness maps complements in sorted order: the least of a leaf's extensions
     search = _IsoSearch(*[z4_half_sum(z4, 1, 1, 7)] * 2, group_mode=True)
-    for leaf in search.run(find_all=True):
+    for leaf in find_all_leaves(search):
         expanded = expand_leaf(search, leaf)
-        assert len(expanded) == search.extension_count(leaf) == 4
+        assert len(expanded) == search.extension_count() == 4
         assert search.witness_from_leaf(leaf) == expanded[0] == min(
             expanded, key=lambda iso: iso.config.maps)

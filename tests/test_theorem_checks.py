@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -48,8 +49,34 @@ def test_parameters_rejects_singleton_violation(monkeypatch, code_d):
         gc.parameters(code_d)
 
 
+def broken_witnesses(dec, f):
+    """The decomposition with the witness of component 1 relabelled by f
+    on every coordinate."""
+    w = dec.isotype_witnesses[1]
+    bad = gc.Isometry(gc.Configuration((f,) * w.n), w.equiv)
+    return dataclasses.replace(dec, isotype_witnesses=(dec.isotype_witnesses[0], bad))
+
+
+@pytest.mark.parametrize("explicit_cap", [10**4, 1], ids=["direct_elements", "assembled_leaves"])
+def test_aut_group_rejects_conjugates_that_are_no_subgroup_isomorphisms(code_d, z4, explicit_cap):
+    # the swap of Z/2 moves the identity
+    C = gc.direct_sum(code_d, code_d)
+    dec = gc.decompose(C)
+    assert gc.aut_group(C, dec, explicit_cap=explicit_cap).order == 72
+    with pytest.raises(TheoremViolationError):
+        gc.aut_group(C, broken_witnesses(dec, (1, 0)), explicit_cap=explicit_cap)
+    # this relabelling of Z/4 moves the projection {0, 2} onto {1, 3}
+    half = gc.GroupCode.from_words(z4, 2, [(0, 0), (2, 2)])
+    C = gc.direct_sum(half, half)
+    dec = gc.decompose(C)
+    assert len(dec.components) == 2
+    with pytest.raises(TheoremViolationError):
+        gc.aut_group(C, broken_witnesses(dec, (1, 0, 3, 2)), explicit_cap=explicit_cap)
+
+
 def test_theorem_checks_survive_optimized_mode():
     script = textwrap.dedent("""
+        import dataclasses
         import importlib
         import groupcodes as gc
         from groupcodes.catalog import binary_repetition, even_weight_code
@@ -62,13 +89,18 @@ def test_theorem_checks_survive_optimized_mode():
             optimized = False
         d, r = even_weight_code(3), binary_repetition(3)
         left, right = gc.direct_sum(d, r), gc.direct_sum(r, d)
+        dd = gc.direct_sum(d, d)
+        dec = gc.decompose(dd)
+        w = dec.isotype_witnesses[1]
+        bad = gc.Isometry(gc.Configuration(((1, 0),) * w.n), w.equiv)  # moves the identity
+        broken = dataclasses.replace(dec, isotype_witnesses=(dec.isotype_witnesses[0], bad))
         GroupCodeIso.verify = lambda self, pair_check=None: False
         importlib.import_module("groupcodes.decompose").apply_to_code = (
             lambda iso, C: gc.Code.from_words(C.alphabet, C.length, [C.identity_word()]))
         importlib.import_module("groupcodes.codes").min_distance = lambda C: C.length
         raised = 0
         for call in (lambda: gc.gc_isomorphic(left, right), lambda: gc.decompose(left),
-                     lambda: gc.parameters(d)):
+                     lambda: gc.parameters(d), lambda: gc.aut_group(dd, broken)):
             try:
                 call()
             except TheoremViolationError:
@@ -80,4 +112,4 @@ def test_theorem_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "3"]
+    assert out.stdout.split() == ["True", "4"]
