@@ -72,10 +72,6 @@ def group_codes(draw):
     return gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=3)))
 
 
-def restrictions(leaves):
-    return [(sigma, [dict(f) for f in restr]) for sigma, restr in leaves]
-
-
 def objects(leaves):
     """Leaves with each restriction dict by identity."""
     return [(sigma, tuple(map(id, restr))) for sigma, restr in leaves]
@@ -317,6 +313,8 @@ def test_point_forms_on_demand_give_the_eager_greedy_picks(C):
     degree, size = C.alphabet.order * C.length, len(elements)
     eager = [eager_points(el) for el in elements]
     assert eager == [to_points(el) for el in elements]
+    assert eager == [pair_points(sigma, maps, C.alphabet.order)
+                     for sigma, maps in report.element_pairs]
     read = []
     lazy = (read.append(el) or to_points(el) for el in elements)
     picks = _greedy_picks(lazy, degree, size)
