@@ -13,19 +13,19 @@ is exactly what the automorphism counting has to honor.
 Automorphism groups follow the product formula Aut(⊕ D_j^alpha_j) =
 prod Aut(D_j) ≀ Sym(alpha_j): ``aut_group`` decomposes the code and
 searches one representative per isotype (or the whole code, when it is
-indecomposable) by a coset search (Leon, J. Symbolic Comput. 12, 1991):
-it walks the identity path of the search tree and runs one find-one
-search under each other child of its nodes, since the leaves below a
-child are a coset of the stabilizer below it and one leaf represents
-them. The leaves follow by composition, lazily and in the order of the
-find-all search (``_IsoSearch.dfs_leaves``). A group within the explicit
-cap is built element by element as (σ, maps) pairs: each representative
-leaf with its bijective extensions, conjugated onto every block of its
-isotype by the decomposition's witnesses, composed over every block
-permutation, and sorted once; no leaf list of the whole code is built.
-Larger groups read the whole code's leaves in that order, assembled the
-same way, only until their generators are chosen. The find-all search
-stays in the tests as the oracle.
+indecomposable) by a coset search (Leon, J. Symbolic Comput. 12, 1991;
+``_IsoSearch.run(cosets=True)``): it walks the identity path of the
+search tree and runs one find-one search under each other child of its
+nodes, since the leaves below a child are a coset of the stabilizer below
+it and one leaf represents them. The leaves follow by composition, lazily
+and in the order of the find-all search (``_IsoSearch.dfs_leaves``). A group
+within the explicit cap is built element by element as (σ, maps) pairs:
+each representative leaf with its bijective extensions, conjugated onto
+every block of its isotype by the decomposition's witnesses, combined
+over every block permutation, and sorted once; no leaf list of the whole
+code is built. Larger groups read the whole code's leaves, combined the
+same way and sorted into the find-all order (``_assemble``), for their
+generators. The find-all search stays in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class _IsoSearch:
     A probe's image prefix of length k is held as the mixed-radix integer
     sum_t y_t q^(k-1-t), so a child's image is ``img * q + f[c]`` and the
     prefix tests against D are integer set lookups. The probes and D's
-    prefixes are built by ``run`` and ``transversals``; leaf expansion
+    prefixes are built by ``run``, in either mode; leaf expansion
     and composition need only the projections and the candidate maps,
     which searches over one alphabet may share through ``maps``.
     """
@@ -169,12 +169,19 @@ class _IsoSearch:
             self._map_cache[key] = self._maps_by_projections[projections]
         return self._map_cache[key]
 
-    def _prepare(self) -> Callable[[int, list[int]], "Leaf | None"]:
-        """Build the probes and D's prefix data, and return ``descend(j,
-        images)``: the first leaf, in DFS order, below the node at depth j
-        whose path is ``self.sigma``/``self.restr`` (``self.used`` marks its
-        input coordinates) and whose probe images are ``images``; None if
-        there is none. Every node counts against ``max_nodes``."""
+    def _prepare(self) -> tuple[Callable, Callable, Callable]:
+        """Build the probes and D's prefix data, and return the search's
+        three steps over the path ``self.sigma``/``self.restr`` (``self.used``
+        marks its input coordinates):
+
+        - ``children(j, images)``: the children (i, f, images') of the node
+          at depth j whose probe images are ``images``, in DFS order;
+        - ``descend(j, images)``: the first leaf, in DFS order, below that
+          node, or None;
+        - ``below(j, i, f, images')``: the first leaf below one of its
+          children, with the child pushed onto the path and popped after.
+
+        Every node counts against ``max_nodes``."""
         C, D, n, q = self.C, self.D, self.n, self.q
         group_mode = self.group_mode
         self.probes = probes = code_generating_words(C) if group_mode else C.words
@@ -187,7 +194,7 @@ class _IsoSearch:
             prefixes = [x * q + w[j] for x, w in zip(prefixes, D.words)]
             prefix_ints.append(prefixes)
         if group_mode:
-            self.prefix_sets = prefix_sets = [frozenset(xs) for xs in prefix_ints]
+            prefix_sets = [frozenset(xs) for xs in prefix_ints]
         else:
             prefix_counts = [Counter(xs) for xs in prefix_ints]
         self.sigma, self.restr, self.used = sigma, restr, used = [], [], [False] * n
@@ -195,18 +202,7 @@ class _IsoSearch:
         in_sizes = [len(h) for h in self.proj_in]
         out_sizes = [len(h) for h in self.proj_out]
 
-        def descend(j: int, current: list[int]) -> Leaf | None:
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise self._cap_error()
-            if j == n:
-                if group_mode:
-                    words = prefix_sets[n]
-                    ok = all(img in words for img in current)
-                else:
-                    distinct = set(current)
-                    ok = distinct == prefix_counts[n].keys() and len(distinct) == C.size
-                return (tuple(sigma), tuple(restr)) if ok else None
+        def children(j: int, current: list[int]) -> Iterator[tuple[int, dict[int, int], list[int]]]:
             if group_mode:
                 ps = prefix_sets[j + 1]
             else:
@@ -222,30 +218,62 @@ class _IsoSearch:
                             continue
                     elif Counter(nxt) != counts:
                         continue
-                    used[i] = True
-                    sigma.append(i)
-                    restr.append(fmap)
-                    leaf = descend(j + 1, nxt)
-                    restr.pop()
-                    sigma.pop()
-                    used[i] = False
-                    if leaf is not None:
-                        return leaf
+                    yield i, fmap, nxt
+
+        def descend(j: int, current: list[int]) -> Leaf | None:
+            self.nodes += 1
+            if self.nodes > self.max_nodes:
+                raise self._cap_error()
+            if j == n:
+                if group_mode:
+                    words = prefix_sets[n]
+                    ok = all(img in words for img in current)
+                else:
+                    distinct = set(current)
+                    ok = distinct == prefix_counts[n].keys() and len(distinct) == C.size
+                return (tuple(sigma), tuple(restr)) if ok else None
+            for i, fmap, nxt in children(j, current):
+                leaf = below(j, i, fmap, nxt)
+                if leaf is not None:
+                    return leaf
             return None
 
-        return descend
+        def below(j: int, i: int, fmap: dict[int, int], nxt: list[int]) -> Leaf | None:
+            used[i] = True
+            sigma.append(i)
+            restr.append(fmap)
+            leaf = descend(j + 1, nxt)
+            restr.pop()
+            sigma.pop()
+            used[i] = False
+            return leaf
+
+        return children, descend, below
 
     def _cap_error(self) -> ResourceLimitError:
         return ResourceLimitError(f"isomorphism search exceeded {self.max_nodes} nodes",
                                   partial_generators=tuple(self.found))
 
-    def run(self) -> Leaf | None:
-        """The first search leaf (σ, per-coordinate restrictions) in DFS
-        order, extensions not expanded, or None if C and D are not isomorphic."""
-        descend = self._prepare()
+    def _count_node(self) -> None:
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise self._cap_error()
+
+    def run(self, *, cosets: bool = False) -> "Leaf | None | tuple[Leaf, list[list[Leaf]]]":
+        """Find-one mode (the default): the first search leaf (σ,
+        per-coordinate restrictions) in DFS order, extensions not expanded,
+        or None if C and D are not isomorphic.
+
+        ``cosets=True``, for D = C: the coset search of the leaves of
+        Aut(C), as the identity leaf and, per depth, the coset
+        representatives found (``_cosets``). Both modes count their nodes
+        on ``self.nodes``."""
+        children, descend, below = self._prepare()
+        if cosets:
+            return self._cosets(children, below)
         return descend(0, [0] * len(self.probes))
 
-    def transversals(self) -> tuple[Leaf, list[list[Leaf]]]:
+    def _cosets(self, children: Callable, below: Callable) -> tuple[Leaf, list[list[Leaf]]]:
         """Coset search of the leaves of Aut(C), for D = C (group mode).
 
         L_j, the leaves that agree with the identity on output coordinates
@@ -259,9 +287,7 @@ class _IsoSearch:
         L_j is L_(j+1) and its cosets L_(j+1)∘g, so |L| = prod (1 + |found_j|).
         It visits a subset of the find-all search's nodes, disjoint subtrees
         below a path it shares."""
-        descend = self._prepare()
         n, q = self.n, self.q
-        columns, prefix_sets = self.columns, self.prefix_sets
         sigma, restr, used = self.sigma, self.restr, self.used
         # walk the identity path: its restrictions, and the probe images
         # at each of its nodes
@@ -269,43 +295,25 @@ class _IsoSearch:
                        if all(table[a] == a for a in self.proj_in[j])) for j in range(n)]
         images = [[0] * len(self.probes)]
         for j in range(n):
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
-                raise self._cap_error()
-            images.append([img * q + c for img, c in zip(images[j], columns[j])])
+            self._count_node()
+            images.append([img * q + c for img, c in zip(images[j], self.columns[j])])
             used[j] = True
             sigma.append(j)
             restr.append(idents[j])
-        self.nodes += 1  # the identity leaf
-        if self.nodes > self.max_nodes:
-            raise self._cap_error()
+        self._count_node()  # the identity leaf
         identity = (tuple(sigma), tuple(restr))
         found: list[list[Leaf]] = [[] for _ in range(n)]
         for j in reversed(range(n)):
             restr.pop()
             sigma.pop()
             used[j] = False
-            ps = prefix_sets[j + 1]
-            for i in range(n):
-                if used[i] or len(self.proj_in[i]) != len(self.proj_out[j]):
+            for i, fmap, nxt in children(j, images[j]):
+                if i == j and fmap is idents[j]:
                     continue
-                column = columns[i]
-                for fmap, table in self._candidate_maps(i, j):
-                    if i == j and fmap is idents[j]:
-                        continue
-                    nxt = [img * q + table[c] for img, c in zip(images[j], column)]
-                    if not ps.issuperset(nxt):
-                        continue
-                    used[i] = True
-                    sigma.append(i)
-                    restr.append(fmap)
-                    leaf = descend(j + 1, nxt)
-                    restr.pop()
-                    sigma.pop()
-                    used[i] = False
-                    if leaf is not None:
-                        found[j].append(leaf)
-                        self.found.append(leaf)
+                leaf = below(j, i, fmap, nxt)
+                if leaf is not None:
+                    found[j].append(leaf)
+                    self.found.append(leaf)
         return identity, found
 
     def _canonical(self, i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
@@ -326,7 +334,7 @@ class _IsoSearch:
         return hit
 
     def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]]) -> Iterator[Leaf]:
-        """Every leaf of Aut(C) from ``transversals``, lazily, in the
+        """Every leaf of Aut(C) from the coset search, lazily, in the
         find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1),
         k_1, ...) with k_j the position of restriction j in
         ``_candidate_maps(σ(j), j)``.
@@ -555,8 +563,7 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
             gen_isos = tuple(Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
     else:
         with phases("generators"):
-            gen_isos = _large_order_generators(search, _assemble(search, dec, rep_leaves),
-                                               count)
+            gen_isos = _large_order_generators(search, _assemble(search, dec, rep_leaves))
     generators = tuple(GroupCodeIso(g, C, C) for g in gen_isos)
 
     structure: tuple[tuple[int, int, int], ...] | None = None
@@ -593,7 +600,7 @@ def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
 
     By the product formula Aut(⊕ D_j^alpha_j) = prod Aut(D_j) ≀ Sym(alpha_j),
     only one representative per isotype is searched, by the coset search
-    (``_IsoSearch.transversals``), and C has prod alpha! |L_K|^alpha
+    (``_IsoSearch.run(cosets=True)``), and C has prod alpha! |L_K|^alpha
     leaves. That count is checked against ``max_nodes`` before any leaf
     is composed; a leaf is a node of the find-all search, so no input it
     answered is refused. A one-block decomposition searches C itself.
@@ -612,7 +619,7 @@ def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
         ksearch = search if one_block else _IsoSearch(K, K, group_mode=True,
                                                       max_nodes=max_nodes, maps=maps)
         try:
-            identity, found = ksearch.transversals()
+            identity, found = ksearch.run(cosets=True)
         except ResourceLimitError as err:
             lifted = _lifted(search, dec, representatives + [err.partial_generators])
             what = "the whole code" if one_block else f"component {members[0]} (isotype {t})"
@@ -699,8 +706,33 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
     return parts
 
 
+def _combined(dec: "Decomposition", parts: dict[tuple[int, int], list[tuple]],
+              fields: int) -> tuple[Iterator[tuple], list[itemgetter]]:
+    """For every block permutation within each isotype (``_block_sources``)
+    and every choice of one part ``parts[k_in, k_out]`` per block k_out,
+    the parts concatenated in block order, and one getter per field that
+    reads it off them in coordinate order. A part holds ``fields`` runs of
+    one entry per coordinate of its block, in the block's order. Needs two
+    blocks or more, so that each getter reads two entries or more."""
+    blocks = dec.partition.blocks
+    # where coordinate j's entry of each field sits in the parts of
+    # blocks 0, 1, ... concatenated
+    at = [[0] * sum(map(len, blocks)) for _ in range(fields)]
+    offset = 0
+    for block in blocks:
+        for t, j in enumerate(block):
+            for field in range(fields):
+                at[field][j] = offset + field * len(block) + t
+        offset += fields * len(block)
+    combos = itertools.chain.from_iterable(
+        itertools.product(*[parts[source[k], k] for k in range(len(blocks))])
+        for source in _block_sources(dec))
+    flats = map(tuple, map(itertools.chain.from_iterable, combos))
+    return flats, [itemgetter(*where) for where in at]
+
+
 def _assemble(search: _IsoSearch, dec: "Decomposition",
-              rep_leaves: Sequence[Iterable[Leaf]]) -> Iterable[Leaf]:
+              rep_leaves: Sequence[Iterable[Leaf]]) -> list[Leaf]:
     """Every leaf of C from the leaves of the isotype representatives, for
     every block permutation within each isotype and every tuple of
     conjugated representative leaves (``_conjugated``), sorted into the
@@ -708,24 +740,9 @@ def _assemble(search: _IsoSearch, dec: "Decomposition",
     ...) with k_j the position of restriction j in ``_candidate_maps(σ(j),
     j)``. One block has C's own leaves, which come in that order."""
     if len(dec.partition.blocks) == 1:
-        return rep_leaves[0]
-    parts = _conjugated(search, dec, rep_leaves)
-    # where coordinate j's σ, restriction and key sit in the parts of
-    # blocks 0, 1, ... concatenated
-    at = [[0] * search.n for _ in range(3)]
-    offset = 0
-    for block in dec.partition.blocks:
-        for t, j in enumerate(block):
-            for field in range(3):
-                at[field][j] = offset + field * len(block) + t
-        offset += 3 * len(block)
-    sig_of, res_of, key_of = (itemgetter(*where) for where in at)
-    chain = itertools.chain.from_iterable
-    records = []
-    for source in _block_sources(dec):
-        for combo in itertools.product(*[parts[source[k], k] for k in range(len(dec.partition.blocks))]):
-            flat = tuple(chain(combo))
-            records.append((key_of(flat), sig_of(flat), res_of(flat)))
+        return list(rep_leaves[0])
+    flats, (sig_of, res_of, key_of) = _combined(dec, _conjugated(search, dec, rep_leaves), 3)
+    records = [(key_of(flat), sig_of(flat), res_of(flat)) for flat in flats]
     records.sort(key=itemgetter(0))
     return [(sig, res) for _, sig, res in records]
 
@@ -742,35 +759,22 @@ def _direct_elements(search: _IsoSearch, dec: "Decomposition",
                      rep_leaves: Sequence[Iterable[Leaf]]) -> list[ElementPair]:
     """Every automorphism of C as (σ, maps), sorted, without C's leaf list:
     each conjugated representative leaf (``_conjugated``) with every
-    bijective extension of its restrictions, composed over every block
-    permutation within each isotype. One block only expands C's
-    own leaves."""
+    bijective extension of its restrictions, put together over every block
+    permutation within each isotype (``_combined``). Extending the parts
+    before combining them extends each conjugated leaf once, not once per
+    leaf of C it is part of. One block only expands C's own leaves."""
     blocks = dec.partition.blocks
     if len(blocks) == 1:
-        elements = [(sigma, maps) for sigma, restr in rep_leaves[0]
-                    for maps in _maps_over(search, sigma, blocks[0], restr)]
-        elements.sort()
-        return elements
+        return sorted((sigma, maps) for sigma, restr in rep_leaves[0]
+                      for maps in _maps_over(search, sigma, blocks[0], restr))
     expanded = {}
     for (k_in, k_out), options in _conjugated(search, dec, rep_leaves).items():
         block, width = blocks[k_out], len(blocks[k_out])
         expanded[k_in, k_out] = [
-            (option[:width], maps) for option in options
+            option[:width] + maps for option in options
             for maps in _maps_over(search, option[:width], block, option[width:2 * width])]
-    # coordinate j's place in the blocks' parts concatenated
-    at = [0] * search.n
-    for p, j in enumerate(itertools.chain.from_iterable(blocks)):
-        at[j] = p
-    reorder = itemgetter(*at)
-    elements = []
-    for source in _block_sources(dec):
-        for combo in itertools.product(*[expanded[source[k], k] for k in range(len(blocks))]):
-            sigma: list[int] = []
-            maps: list[tuple[int, ...]] = []
-            for part_sigma, part_maps in combo:
-                sigma += part_sigma
-                maps += part_maps
-            elements.append((reorder(sigma), reorder(maps)))
+    flats, (sig_of, maps_of) = _combined(dec, expanded, 2)
+    elements = [(sig_of(flat), maps_of(flat)) for flat in flats]
     elements.sort()
     return elements
 
@@ -806,8 +810,7 @@ def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLim
         partial_generators=_witnesses(search, found), incomplete=True)
 
 
-def _large_order_generators(search: _IsoSearch, leaves: Iterable[Leaf],
-                            count: int) -> tuple[Isometry, ...]:
+def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf]) -> tuple[Isometry, ...]:
     """Generators when the group is too large to materialize.
 
     Every automorphism permutes the points (i, a) with a in pi_i(C); the
@@ -815,8 +818,6 @@ def _large_order_generators(search: _IsoSearch, leaves: Iterable[Leaf],
     automorphisms, and the leaves, one per coset of N, act as the quotient.
     Greedy generators of that action, as canonical leaf witnesses, plus
     two-element generator sets of each symmetric factor generate the group.
-    The ``count`` leaves are read in order, and only until the action is
-    generated.
     """
     q, n = search.q, search.n
     # the number of point (i, a), a in pi_i(C), indexed by i·q + a
@@ -824,18 +825,16 @@ def _large_order_generators(search: _IsoSearch, leaves: Iterable[Leaf],
     for k, p in enumerate(i * q + a for i, dom in enumerate(search.proj_in) for a in dom):
         number[p] = k
     inv = [0] * n
-    read: list[Leaf] = []
 
     def action(leaf: Leaf) -> tuple[int, ...]:
         # (σ(j), a) goes to (j, f_j(a))
-        read.append(leaf)
         sigma, restr = leaf
         for j, i in enumerate(sigma):
             inv[i] = j
         return tuple([number[inv[i] * q + restr[inv[i]][a]]
                       for i, dom in enumerate(search.proj_in) for a in dom])
 
-    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), count)
+    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), len(leaves))
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):
@@ -848,7 +847,7 @@ def _large_order_generators(search: _IsoSearch, leaves: Iterable[Leaf],
                     f[a] = b
                 maps[j] = tuple(f)
                 normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
-    return tuple([search.witness_from_leaf(read[k]) for k in picks] + normal_gens)
+    return tuple([search.witness_from_leaf(leaves[k]) for k in picks] + normal_gens)
 
 
 def _symmetric_generators(points: tuple[int, ...]) -> list[dict[int, int]]:

@@ -49,7 +49,7 @@ def greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
 def find_all_leaves(search) -> list:
     """Every leaf (σ, restrictions) of the group-mode search tree of
     ``search``, in DFS order, visiting every node: the find-all search the
-    coset search (``_IsoSearch.transversals``) replaced. Nodes count on
+    coset search (``_IsoSearch.run(cosets=True)``) replaced. Nodes count on
     ``search.nodes`` against ``search.max_nodes``. A prefix is kept when
     the images of all codewords of C, not only of a generating set, are
     prefixes of words of D; the map is a homomorphism on each coordinate,
@@ -103,7 +103,7 @@ def aut_group_from_leaves(search, leaves, *, explicit_cap: int) -> AutGroupRepor
     C = search.C
     order = len(leaves) * search.extension_count()
     if order > explicit_cap:
-        gens = _large_order_generators(search, leaves, len(leaves))
+        gens = _large_order_generators(search, leaves)
         return AutGroupReport(order, tuple(GroupCodeIso(g, C, C) for g in gens), None, None)
     pairs = sorted((leaf[0], maps) for leaf in leaves for maps in leaf_maps(search, leaf))
     elements = [Isometry._build(maps, sigma) for sigma, maps in pairs]

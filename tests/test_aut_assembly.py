@@ -1,5 +1,5 @@
 """Differential tests of the automorphism group built from coset
-searches (``_IsoSearch.transversals``) and the decomposition
+searches (``_IsoSearch.run(cosets=True)``) and the decomposition
 (``isomorphy._aut_leaves``, ``_assemble``, ``_direct_elements``) against
 the find-all search over the whole code (``oracles.find_all_leaves``),
 its oracle."""
@@ -100,7 +100,7 @@ def expansion(search, leaves):
 @given(st.one_of(group_codes(), scrambled_sums()))
 def test_coset_search_finds_the_find_all_leaves_within_its_nodes(C):
     search = _IsoSearch(C, C, group_mode=True)
-    identity, found = search.transversals()
+    identity, found = search.run(cosets=True)
     nodes = search.nodes
     leaves = list(search.dfs_leaves(identity, found))
     # the oracle shares the candidate lists, so the dicts are the same objects
@@ -116,7 +116,7 @@ def test_coset_search_finds_the_find_all_leaves_within_its_nodes(C):
 def test_coset_search_of_the_hamming_code():
     H = hamming_7_4_code()
     search = _IsoSearch(H, H, group_mode=True)
-    identity, found = search.transversals()
+    identity, found = search.run(cosets=True)
     assert search.nodes <= 400
     oracle = _IsoSearch(H, H, group_mode=True, maps=search._maps_by_projections)
     expected = find_all_leaves(oracle)

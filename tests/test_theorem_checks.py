@@ -57,7 +57,7 @@ def broken_witnesses(dec, f):
     return dataclasses.replace(dec, isotype_witnesses=(dec.isotype_witnesses[0], bad))
 
 
-@pytest.mark.parametrize("explicit_cap", [10**4, 1], ids=["direct_elements", "assembled_leaves"])
+@pytest.mark.parametrize("explicit_cap", [10**4, 1], ids=["explicit_elements", "generators_only"])
 def test_aut_group_rejects_conjugates_that_are_no_subgroup_isomorphisms(code_d, z4, explicit_cap):
     # the swap of Z/2 moves the identity
     C = gc.direct_sum(code_d, code_d)
