@@ -765,8 +765,10 @@ def _direct_elements(search: _IsoSearch, dec: "Decomposition",
     leaf of C it is part of. One block only expands C's own leaves."""
     blocks = dec.partition.blocks
     if len(blocks) == 1:
-        return sorted((sigma, maps) for sigma, restr in rep_leaves[0]
-                      for maps in _maps_over(search, sigma, blocks[0], restr))
+        elements = [(sigma, maps) for sigma, restr in rep_leaves[0]
+                    for maps in _maps_over(search, sigma, blocks[0], restr)]
+        elements.sort()
+        return elements
     expanded = {}
     for (k_in, k_out), options in _conjugated(search, dec, rep_leaves).items():
         block, width = blocks[k_out], len(blocks[k_out])
