@@ -40,6 +40,17 @@ def is_degenerate(C: Code) -> tuple[bool, tuple[int, ...]]:
     return (bool(constant), constant)
 
 
+def singleton_tight(q: int, n: int, size: int, d: int) -> bool:
+    """Exact integer Singleton equality |C| = q^(n-d+1), false below two
+    words (see ``is_mds``)."""
+    return size >= 2 and size == q ** (n - d + 1)
+
+
+def sphere_packing_tight(q: int, n: int, size: int, e: int) -> bool:
+    """Sphere-packing equality |C| * |B_e| = q^n at correction capacity e."""
+    return size * ball_size(q, n, e) == q**n
+
+
 def is_mds(C: Code) -> bool:
     """Exact integer Singleton-equality check |C| = q^(n-d+1).
 
@@ -49,8 +60,7 @@ def is_mds(C: Code) -> bool:
     """
     if C.size < 2:
         return False
-    d = min_distance(C)
-    return C.size == C.alphabet.order ** (C.length - d + 1)
+    return singleton_tight(C.alphabet.order, C.length, C.size, min_distance(C))
 
 
 def is_perfect(C: Code) -> bool:
@@ -60,8 +70,7 @@ def is_perfect(C: Code) -> bool:
     so the arithmetic equality is equivalent to tiling the space.
     """
     p = parameters(C)
-    q, n = p.alphabet_size, p.length
-    return p.size * ball_size(q, n, p.correction_capacity) == q**n
+    return sphere_packing_tight(p.alphabet_size, p.length, p.size, p.correction_capacity)
 
 
 def perfect_by_enumeration(C: Code, gate: int = DEFAULT_ENUMERATION_GATE) -> bool:

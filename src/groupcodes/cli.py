@@ -25,7 +25,6 @@ from .errors import (GroupCodesError, IncompatibleError, PreconditionError,
 from .isomorphy import DEFAULT_MAX_NODES, aut_group, code_equivalent, gc_isomorphic
 from .phases import Phases
 from . import serialize
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -282,6 +281,8 @@ def cmd_join(args: argparse.Namespace, phases: Phases) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace, phases: Phases) -> int:
+    # the property corpus and its catalog load only for this verb
+    from .selftest import run_selftest
     with phases("compute"):
         ok = run_selftest(seed=args.seed, trials=args.trials, oracle=args.oracle)
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .classify import constant_weight_group, is_degenerate, is_mds, is_perfect, is_trivial
-from .codes import NUMPY_ABOVE_WORDS, Code, GroupCode, direct_sum_all, projection
+from .classify import (constant_weight_group, is_degenerate, is_trivial, singleton_tight,
+                       sphere_packing_tight)
+from .codes import NUMPY_ABOVE_WORDS, Code, GroupCode, direct_sum_all, parameters, projection
 from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from .isometry import Configuration, Equivalence, Isometry, apply_to_code, identity_isometry
 from .isomorphy import DEFAULT_MAX_NODES, code_equivalent, gc_isomorphic
@@ -42,13 +43,19 @@ def _is_prime(m: int) -> bool:
 
 
 def applicable_certificates(C: Code) -> tuple[str, ...]:
-    """Every indecomposability certificate that applies, in priority order."""
+    """Every indecomposability certificate that applies, in priority order.
+
+    MDS and perfect are both read off one parameter report, so a
+    nontrivial code pays one distance scan.
+    """
     tags: list[str] = []
-    trivial = is_trivial(C)
-    if not trivial and is_mds(C):
-        tags.append(CERT_MDS)
-    if not trivial and is_perfect(C):
-        tags.append(CERT_PERFECT)
+    if not is_trivial(C):
+        p = parameters(C)
+        q, n = p.alphabet_size, p.length
+        if singleton_tight(q, n, p.size, p.min_distance):
+            tags.append(CERT_MDS)
+        if sphere_packing_tight(q, n, p.size, p.correction_capacity):
+            tags.append(CERT_PERFECT)
     degenerate, _ = is_degenerate(C)
     if (isinstance(C, GroupCode) and not degenerate
             and constant_weight_group(C) is not None):
@@ -70,7 +77,8 @@ def indecomposability_certificate(C: Code) -> str | None:
 
 
 class _ProjCounter:
-    """Memoized projection cardinalities keyed by coordinate bitmask.
+    """Projection cardinalities |pi_J(C)|, counted afresh on every call:
+    the split search asks each subset once, so nothing is kept.
 
     Above ``NUMPY_ABOVE_WORDS`` words, subsets are packed into integers
     column by column with numpy when the packed values fit in int64;
@@ -81,26 +89,16 @@ class _ProjCounter:
         self.C = C
         self.q = C.alphabet.order
         self.n = C.length
-        self.cache: dict[int, int] = {}
         self.packed = C.size > NUMPY_ABOVE_WORDS and self.q ** self.n < 2**62
 
     def card(self, coords: tuple[int, ...]) -> int:
-        mask = 0
-        for i in coords:
-            mask |= 1 << i
-        hit = self.cache.get(mask)
-        if hit is not None:
-            return hit
         if self.packed:
             import numpy as np
             weights = np.array([self.q ** t for t in range(len(coords))], dtype=np.int64)
             packed = self.C.word_array[:, list(coords)] @ weights
-            value = int(np.unique(packed).size)
-        else:
-            # one coordinate gives bare symbols, as distinct as 1-tuples
-            value = len(set(map(itemgetter(*coords), self.C.words)))
-        self.cache[mask] = value
-        return value
+            return int(np.unique(packed).size)
+        # one coordinate gives bare symbols, as distinct as 1-tuples
+        return len(set(map(itemgetter(*coords), self.C.words)))
 
 
 def _validate_subset(C: Code, J: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,7 +113,8 @@ def _validate_subset(C: Code, J: tuple[int, ...]) -> tuple[int, ...]:
 def split_test(C: Code, J: tuple[int, ...]) -> bool:
     """Exact product criterion |C| = |pi_J(C)| * |pi_K(C)| for K = complement."""
     js = _validate_subset(C, J)
-    ks = tuple(i for i in range(C.length) if i not in set(js))
+    in_j = set(js)
+    ks = tuple(i for i in range(C.length) if i not in in_j)
     counter = _ProjCounter(C)
     return counter.card(js) * counter.card(ks) == C.size
 
@@ -126,7 +125,8 @@ def _canonical_split(C: Code, counter: _ProjCounter) -> tuple[int, ...] | None:
     for s in range(1, n):
         for rest in itertools.combinations(range(1, n), s - 1):
             J = (0,) + rest
-            K = tuple(i for i in range(1, n) if i not in set(rest))
+            in_j = set(rest)
+            K = tuple(i for i in range(1, n) if i not in in_j)
             if counter.card(J) * counter.card(K) == size:
                 return J
     return None
@@ -159,11 +159,12 @@ class Partition:
     def __post_init__(self) -> None:
         seen: set[int] = set()
         for b in self.blocks:
-            if not b or list(b) != sorted(set(b)):
+            members = set(b)
+            if not b or list(b) != sorted(members):
                 raise PreconditionError(f"bad block {b}")
-            if seen & set(b):
+            if seen & members:
                 raise PreconditionError(f"block {b} overlaps another block")
-            seen |= set(b)
+            seen |= members
         firsts = [b[0] for b in self.blocks]
         if firsts != sorted(firsts):
             raise PreconditionError("blocks must be ordered by first element")
@@ -227,7 +228,8 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         if constant_pos:
             for p in constant_pos:
                 blocks.append((indices[p],))
-            keep = [p for p in range(code.length) if p not in set(constant_pos)]
+            constant = set(constant_pos)
+            keep = [p for p in range(code.length) if p not in constant]
             if keep:
                 rec(tuple(indices[p] for p in keep), projection(code, keep))
             return
@@ -239,7 +241,8 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
             if use_certificates:
                 certified[indices] = tag
             return
-        K = tuple(p for p in range(code.length) if p not in set(J))
+        in_j = set(J)
+        K = tuple(p for p in range(code.length) if p not in in_j)
         rec(tuple(indices[p] for p in J), projection(code, J))
         rec(tuple(indices[p] for p in K), projection(code, K))
 

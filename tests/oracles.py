@@ -8,9 +8,12 @@ from operator import itemgetter
 from typing import Sequence
 
 from groupcodes import serialize as ser
+from groupcodes.classify import (constant_weight_group, is_degenerate, is_mds, is_perfect,
+                                 is_trivial)
 from groupcodes.codes import Code, GroupCode, hamming_distance
 from groupcodes.cyclic import ComponentStructure, is_cyclic
-from groupcodes.decompose import decompose
+from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, CERT_PRIME,
+                                  decompose)
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                                TheoremViolationError)
 from groupcodes.isometry import Configuration, Equivalence, Isometry, compose, to_points
@@ -135,6 +138,26 @@ def weight_distribution(C: Code) -> Counter:
     word; the oracle for ``Code.weight_distribution``."""
     e = C.identity_word()
     return Counter(hamming_distance(w, e) for w in C.words)
+
+
+def applicable_certificates(C: Code) -> tuple[str, ...]:
+    """The indecomposability certificates of C in priority order, one
+    predicate per certificate: ``is_mds`` and ``is_perfect`` each scan
+    the distances. The oracle for ``decompose.applicable_certificates``,
+    which reads MDS and perfect off one parameter report."""
+    tags: list[str] = []
+    trivial = is_trivial(C)
+    if not trivial and is_mds(C):
+        tags.append(CERT_MDS)
+    if not trivial and is_perfect(C):
+        tags.append(CERT_PERFECT)
+    degenerate, _ = is_degenerate(C)
+    if (isinstance(C, GroupCode) and not degenerate
+            and constant_weight_group(C) is not None):
+        tags.append(CERT_CONSTANT_WEIGHT)
+    if not degenerate and C.size >= 2 and all(C.size % d for d in range(2, C.size)):
+        tags.append(CERT_PRIME)
+    return tuple(tags)
 
 
 def cyclic_structure(C: GroupCode) -> ComponentStructure:

@@ -4,20 +4,28 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import groupcodes as gc
+from groupcodes import serialize
+from groupcodes.cli import main
 from groupcodes.codes import NUMPY_ABOVE_WORDS
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT,
                                   CERT_PRIME, _ProjCounter)
 from groupcodes.errors import PreconditionError, ResourceLimitError
-from groupcodes.catalog import binary_repetition, repetition_code
+from groupcodes.catalog import (binary_repetition, hamming_7_4_code, repetition_code,
+                                sum_zero_code)
+from oracles import applicable_certificates as certificates_by_predicate
 
 # the module, which the package's decompose function shadows as an attribute
 dmod = importlib.import_module("groupcodes.decompose")
+cmod = importlib.import_module("groupcodes.codes")
+clmod = importlib.import_module("groupcodes.classify")
 
 
 def exhaustive_split_search(C):
@@ -217,7 +225,7 @@ def test_decompose_length_cap():
     assert dec.indecomposable
 
 
-def test_decompose_evaluates_each_certificate_once(code_d, monkeypatch):
+def test_decompose_evaluates_each_certificate_once(code_d, hamming, monkeypatch, tmp_path):
     # D+D+R2: the whole code, its D+R2 part and the three components are
     # each certified once (8 calls when the components were certified
     # again), and the components' certificates are the recursion's
@@ -237,6 +245,34 @@ def test_decompose_evaluates_each_certificate_once(code_d, monkeypatch):
     assert dec.certificates == tuple(original(comp) for comp in dec.components)
     assert dec.certificates == (CERT_MDS, CERT_MDS, CERT_MDS)
 
+    # each certificate evaluation reads MDS and perfect off one parameter
+    # report, so it makes one pairwise distance scan (two when is_mds and
+    # is_perfect scanned separately)
+    scans = []
+    scan = cmod.min_distance
+
+    def counted_scan(C):
+        scans.append(C.words)
+        return scan(C)
+
+    monkeypatch.setattr(cmod, "min_distance", counted_scan)
+    monkeypatch.setattr(clmod, "min_distance", counted_scan)
+
+    def count(run):
+        scans.clear()
+        run()
+        return len(scans)
+
+    path = tmp_path / "ddr2.json"
+    path.write_text(json.dumps(serialize.code_to_json(total)), encoding="utf-8")
+    assert count(lambda: gc.decompose(total)) == 5
+    assert count(lambda: gc.aut_group(total)) == 5
+    assert count(lambda: gc.decompose(gc.direct_sum(hamming, hamming))) == 3
+    assert count(lambda: gc.decompose(gc.direct_sum_all([code_d] * 4))) == 7
+    # analyze: its own parameters, classify's three, the root's
+    # certificates section and the decomposition's five
+    assert count(lambda: main(["analyze", str(path)])) == 10
+
 
 def test_uncertified_blocks_get_their_certificates_at_the_end(code_d, z2, monkeypatch):
     # a constant coordinate and a run without certificates: every block is
@@ -253,6 +289,21 @@ def test_uncertified_blocks_get_their_certificates_at_the_end(code_d, z2, monkey
         assert dec.certificates == tuple(original(comp) for comp in dec.components)
         if not use_certificates:
             assert sorted(calls) == sorted(comp.words for comp in dec.components)
+
+
+def test_split_search_keeps_no_projection_counts():
+    # the whole 2^13-subset search on R14: each J containing 0 and each
+    # complement is counted once, so kept counts would only grow the peak
+    # (about 1.7 MiB when every count was cached)
+    C = binary_repetition(14)
+    tracemalloc.start()
+    try:
+        dec = gc.decompose(C, use_certificates=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.indecomposable
+    assert peak < 2**20
 
 
 ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4), gc.klein_four_group()]
@@ -278,3 +329,61 @@ def test_projection_counter_matches_a_tuple_set_count(C, data):
     for _ in range(4):
         coords = tuple(sorted(data.draw(st.sets(st.integers(0, C.length - 1), min_size=1))))
         assert counter.card(coords) == len({tuple(w[i] for i in coords) for w in C.words})
+
+
+S3 = gc.group_from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]], "S3")
+
+
+@st.composite
+def certified_codes(draw):
+    """A group or plain code over Z/2, Z/3, Z/4, V4 or S3: random, the
+    identity singleton, the full space or a named MDS or perfect code,
+    maybe with its words taken as a plain code, maybe with a constant
+    coordinate appended (degenerate). Plain codes reach past
+    NUMPY_ABOVE_WORDS."""
+    G = draw(st.sampled_from(ALPHABETS + [S3]))
+    n = draw(st.integers(1, {2: 7, 3: 4, 4: 4, 6: 3}[G.order]))
+    words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    kind = draw(st.sampled_from(["group", "plain", "singleton", "full", "named"]))
+    if kind == "named":
+        named = [repetition_code(G, n)]
+        if G.is_abelian():
+            named.append(sum_zero_code(G, n))
+        if G.order == 2:
+            named.append(hamming_7_4_code())
+        C = draw(st.sampled_from(named))
+        n = C.length
+    elif kind == "group":
+        C = gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=3)))
+    elif kind == "plain":
+        C = gc.Code.from_words(G, n, draw(st.lists(words, min_size=1, max_size=90)))
+    elif kind == "singleton":
+        C = gc.GroupCode.from_words(G, n, [(G.identity,) * n])
+    else:
+        C = gc.full_space(G, n)
+    if kind != "plain" and draw(st.booleans()):
+        C = gc.Code.from_words(G, n, C.words)
+    if draw(st.booleans()):
+        if isinstance(C, gc.GroupCode):
+            pad = gc.GroupCode.from_words(G, 1, [(G.identity,)])
+        else:
+            pad = gc.Code.from_words(G, 1, [(draw(st.integers(0, G.order - 1)),)])
+        C = gc.direct_sum(C, pad)
+    return C
+
+
+def test_certificates_match_the_per_predicate_oracle_on_the_corpus(corpus):
+    for C in corpus:
+        tags = certificates_by_predicate(C)
+        assert gc.applicable_certificates(C) == tags
+        assert gc.indecomposability_certificate(C) == (tags[0] if tags else None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(certified_codes())
+def test_certificates_match_the_per_predicate_oracle(C):
+    tags = certificates_by_predicate(C)
+    event(",".join(tags) or "no certificate")
+    assert gc.applicable_certificates(C) == tags
+    assert gc.indecomposability_certificate(C) == (tags[0] if tags else None)

@@ -43,6 +43,12 @@ def test_cli_import_leaves_numpy_unloaded():
     assert run("import sys, groupcodes.cli; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_cli_import_leaves_selftest_and_catalog_unloaded():
+    assert run("import sys, groupcodes.cli; "
+               "print([m for m in ('groupcodes.selftest', 'groupcodes.catalog') "
+               "if m in sys.modules])") == "[]\n"
+
+
 def test_aut_on_a_code_of_64_words_runs_without_numpy(tmp_path):
     # over Z/2, |Aut(D)| = |Aut(R3)| = 3! = 6: D + D + R3 has 32 words and
     # 6^2 * 2! * 6 automorphisms; D + D + D has 64 words and 6^3 * 3!
