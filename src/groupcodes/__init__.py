@@ -8,10 +8,10 @@ cyclic constructions, all at exhaustively verifiable desk scale.
 from .classify import (Classification, ball_size, classify, constant_weight_general,
                        constant_weight_group, is_degenerate, is_mds, is_perfect,
                        is_trivial, perfect_by_enumeration)
-from .codes import (Code, GroupCode, ParameterReport, Word, all_words, direct_sum,
-                    direct_sum_all, full_space, generate_group_code, hamming_distance,
-                    min_distance, min_weight_nonidentity, parameters, projection,
-                    weight, word_inv, word_mul)
+from .codes import (Code, GroupCode, ParameterReport, Word, all_words, code_distance,
+                    direct_sum, direct_sum_all, full_space, generate_group_code,
+                    hamming_distance, min_distance, min_weight_nonidentity, parameters,
+                    projection, weight, word_inv, word_mul)
 from .cyclic import (ComponentStructure, CyclicReport, GcdCertificate, cyclic_report,
                      cyclic_shift, cyclic_structure, gcd_certificate, interleave,
                      interleave_permutation, is_cyclic, join, shift_orbit_sizes)

@@ -10,7 +10,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .codes import Code, GroupCode, Word, hamming_distance, min_distance, parameters
+from .codes import (Code, GroupCode, Word, code_distance, hamming_distance, min_distance,
+                    parameters)
 from .errors import ResourceLimitError
 
 DEFAULT_CENTER_CAP = 2**20
@@ -58,9 +59,7 @@ def is_mds(C: Code) -> bool:
     the check vacuously true, which would feed meaningless
     indecomposability certificates.
     """
-    if C.size < 2:
-        return False
-    return singleton_tight(C.alphabet.order, C.length, C.size, min_distance(C))
+    return singleton_tight(C.alphabet.order, C.length, C.size, code_distance(C))
 
 
 def is_perfect(C: Code) -> bool:
@@ -147,26 +146,29 @@ class Classification:
 
 
 def classify(C: Code, *, center_cap: int = DEFAULT_CENTER_CAP) -> Classification:
-    """Evaluate every predicate; group codes get the identity-centered weight test."""
+    """Evaluate every predicate; group codes get the identity-centered weight test.
+
+    MDS and perfect are read off one parameter report, as ``is_mds`` and
+    ``is_perfect`` would find them, so the code pays one distance evaluation.
+    """
     p = parameters(C)
+    q, n = p.alphabet_size, p.length
     degenerate, coords = is_degenerate(C)
     cw: tuple[Word, int] | None
     checked = True
     if isinstance(C, GroupCode):
         r = constant_weight_group(C)
         cw = (C.identity_word(), r) if r is not None else None
+    elif C.size > 1 and q**n > center_cap:
+        cw, checked = None, False
     else:
-        q, n = C.alphabet.order, C.length
-        if C.size > 1 and q**n > center_cap:
-            cw, checked = None, False
-        else:
-            cw = constant_weight_general(C, center_cap=center_cap)
+        cw = constant_weight_general(C, center_cap=center_cap)
     return Classification(
         is_trivial=is_trivial(C),
         is_degenerate=degenerate,
         degenerate_coordinates=coords,
-        is_mds=is_mds(C),
-        is_perfect=is_perfect(C),
+        is_mds=singleton_tight(q, n, p.size, p.min_distance),
+        is_perfect=sphere_packing_tight(q, n, p.size, p.correction_capacity),
         constant_weight=cw,
         constant_weight_checked=checked,
         correction_capacity=p.correction_capacity,

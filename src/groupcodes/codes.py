@@ -14,20 +14,18 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (ClosureError, IncompatibleError, InvalidWordError, PreconditionError,
                      ResourceLimitError, TheoremViolationError)
 from .groups import FiniteGroup, word_closure
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Word = tuple[int, ...]
 
-# Kernels switch to numpy only for codes with more words than this: below
-# it, pure-Python scans are as fast, and most processes never load numpy.
-NUMPY_ABOVE_WORDS = 64
+# Kernels switch from word tuples to ``Code.packed_words`` only for codes
+# with more words than this: below it, the tuple scans are as fast, and
+# the packing is never built.
+PACKED_ABOVE_WORDS = 64
 
 
 def hamming_distance(x: Word, y: Word) -> int:
@@ -92,9 +90,12 @@ class Code:
         return frozenset(self.words)
 
     @cached_property
-    def word_array(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.words, dtype=np.int64).reshape(len(self.words), self.length)
+    def packed_words(self) -> tuple[int, ...]:
+        """Each word one-hot packed into one int: bit q*j + s is set for
+        symbol s at coordinate j. Two packed words differ in twice as many
+        bits as the words differ in coordinates."""
+        offsets = range(0, self.alphabet.order * self.length, self.alphabet.order)
+        return tuple(sum(1 << (o + s) for o, s in zip(offsets, w)) for w in self.words)
 
     @cached_property
     def coordinate_projections(self) -> tuple[tuple[int, ...], ...]:
@@ -201,16 +202,16 @@ def min_distance(C: Code) -> int:
     m = C.size
     if m < 2:
         return C.length + 1
-    if m > NUMPY_ABOVE_WORDS:
-        arr = C.word_array
-        best = C.length
+    if m > PACKED_ABOVE_WORDS:
+        packed = C.packed_words
+        best = 2 * C.length  # in differing bits, two per differing coordinate
         for i in range(m - 1):
-            d = int((arr[i + 1:] != arr[i]).sum(axis=1).min())
+            d = min(map(int.bit_count, map(packed[i].__xor__, packed[i + 1:])))
             if d < best:
                 best = d
-                if best == 1:
+                if best == 2:
                     break
-        return best
+        return best >> 1
     best = C.length
     for x, y in itertools.combinations(C.words, 2):
         d = hamming_distance(x, y)
@@ -222,6 +223,15 @@ def min_distance(C: Code) -> int:
 def min_weight_nonidentity(C: GroupCode) -> int:
     """Least weight of a non-identity codeword; equals min_distance on group codes."""
     return min((d for d in C.weight_distribution if d > 0), default=C.length + 1)
+
+
+def code_distance(C: Code) -> int:
+    """Minimum distance, n+1 for a singleton code: read off the weight
+    distribution of a group code, where the metric is translation
+    invariant (d(x, y) = w(x * y^-1)), and the pairwise scan otherwise."""
+    if isinstance(C, GroupCode):
+        return min_weight_nonidentity(C)
+    return min_distance(C)
 
 
 def projection(C: Code, coords: Sequence[int]) -> Code:
@@ -292,7 +302,7 @@ def parameters(C: Code) -> ParameterReport:
     """Compute the parameter report; the Singleton inequality is checked."""
     q, n = C.alphabet.order, C.length
     size = C.size
-    d = min_distance(C)
+    d = code_distance(C)
     exact = _exact_log(size, q)
     dim = float(exact) if exact is not None else math.log(size, q)
     e = (d - 1) // 2

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .classify import (constant_weight_group, is_degenerate, is_trivial, singleton_tight,
                        sphere_packing_tight)
-from .codes import NUMPY_ABOVE_WORDS, Code, GroupCode, direct_sum_all, parameters, projection
+from .codes import PACKED_ABOVE_WORDS, Code, GroupCode, direct_sum_all, parameters, projection
 from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from .isometry import Configuration, Equivalence, Isometry, apply_to_code, identity_isometry
 from .isomorphy import DEFAULT_MAX_NODES, code_equivalent, gc_isomorphic
@@ -80,23 +80,21 @@ class _ProjCounter:
     """Projection cardinalities |pi_J(C)|, counted afresh on every call:
     the split search asks each subset once, so nothing is kept.
 
-    Above ``NUMPY_ABOVE_WORDS`` words, subsets are packed into integers
-    column by column with numpy when the packed values fit in int64;
-    otherwise the projected words are counted as a set.
+    Above ``PACKED_ABOVE_WORDS`` words, the distinct ``Code.packed_words``
+    are counted under the mask of J's bits; otherwise the projected words
+    are counted as a set of tuples.
     """
 
     def __init__(self, C: Code) -> None:
         self.C = C
-        self.q = C.alphabet.order
-        self.n = C.length
-        self.packed = C.size > NUMPY_ABOVE_WORDS and self.q ** self.n < 2**62
+        self.packed = C.packed_words if C.size > PACKED_ABOVE_WORDS else None
 
     def card(self, coords: tuple[int, ...]) -> int:
-        if self.packed:
-            import numpy as np
-            weights = np.array([self.q ** t for t in range(len(coords))], dtype=np.int64)
-            packed = self.C.word_array[:, list(coords)] @ weights
-            return int(np.unique(packed).size)
+        if self.packed is not None:
+            q = self.C.alphabet.order
+            column = (1 << q) - 1
+            mask = sum(column << (q * j) for j in coords)
+            return len(set(map(mask.__and__, self.packed)))
         # one coordinate gives bare symbols, as distinct as 1-tuples
         return len(set(map(itemgetter(*coords), self.C.words)))
 
@@ -215,19 +213,20 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         raise ResourceLimitError(
             f"partition search capped at {max_bits} coordinates, code has {C.length}",
             certificate=indecomposability_certificate(C))
-    blocks: list[tuple[int, ...]] = []
-    # the certificate of each block the recursion certified; a leaf has
-    # the words of its final component
+    # each final block with its component, the projection of C the
+    # recursion built for it, and the certificate of each block the
+    # recursion certified
+    leaves: list[tuple[tuple[int, ...], Code]] = []
     certified: dict[tuple[int, ...], str | None] = {}
 
     def rec(indices: tuple[int, ...], code: Code) -> None:
         if len(indices) == 1:
-            blocks.append(indices)
+            leaves.append((indices, code))
             return
         _, constant_pos = is_degenerate(code)
         if constant_pos:
             for p in constant_pos:
-                blocks.append((indices[p],))
+                leaves.append(((indices[p],), projection(code, (p,))))
             constant = set(constant_pos)
             keep = [p for p in range(code.length) if p not in constant]
             if keep:
@@ -237,7 +236,7 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         J = None if tag is not None else is_decomposable(code, max_bits=max_bits,
                                                          use_certificates=False)
         if J is None:
-            blocks.append(indices)
+            leaves.append((indices, code))
             if use_certificates:
                 certified[indices] = tag
             return
@@ -247,11 +246,12 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         rec(tuple(indices[p] for p in K), projection(code, K))
 
     rec(tuple(range(C.length)), C)
-    blocks.sort(key=lambda b: b[0])
+    leaves.sort(key=lambda leaf: leaf[0][0])
+    blocks = [b for b, _ in leaves]
+    components = tuple(comp for _, comp in leaves)
     partition = Partition(tuple(blocks))
-    components = tuple(projection(C, b) for b in blocks)
     certificates = tuple(certified[b] if b in certified else indecomposability_certificate(comp)
-                         for b, comp in zip(blocks, components))
+                         for b, comp in leaves)
 
     group_mode = isinstance(C, GroupCode)
     rep_indices: list[int] = []

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes import codes
@@ -82,10 +82,10 @@ def test_min_distance_singleton_sentinel(z2):
     assert gc.min_distance(single) == 5
 
 
-def test_min_distance_numpy_path_matches_scan(z2):
+def test_min_distance_packed_path_matches_scan(z2):
     rng = random.Random(5)
     space = sorted(gc.all_words(2, 7))
-    words = rng.sample(space, 90)  # above the vectorized-path threshold
+    words = rng.sample(space, 90)  # above codes.PACKED_ABOVE_WORDS
     C = gc.Code.from_words(z2, 7, words)
     assert gc.min_distance(C) == brute_min_distance(C.words)
 
@@ -94,6 +94,71 @@ def test_min_weight_equals_min_distance(corpus):
     for C in corpus:
         if isinstance(C, gc.GroupCode) and C.size >= 2:
             assert gc.min_weight_nonidentity(C) == gc.min_distance(C)
+
+
+@st.composite
+def group_codes(draw):
+    """A group code over Z/2, Z/3, Z/4, V4 or S3: generated by up to three
+    random words, the identity singleton or the full space, maybe with a
+    constant coordinate before or after it. Up to 256 words, so on both
+    sides of codes.PACKED_ABOVE_WORDS."""
+    G = draw(st.sampled_from(ALPHABETS))
+    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4, 6: 3}[G.order]))
+    word = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    kind = draw(st.sampled_from(["generated", "singleton", "full"]))
+    if kind == "generated":
+        C = gc.generate_group_code(G, n, draw(st.lists(word, max_size=3)))
+    elif kind == "singleton":
+        C = gc.GroupCode.from_words(G, n, [(G.identity,) * n])
+    else:
+        C = gc.full_space(G, n)
+    if draw(st.booleans()):
+        pad = gc.GroupCode.from_words(G, 1, [(G.identity,)])
+        C = gc.direct_sum(C, pad) if draw(st.booleans()) else gc.direct_sum(pad, C)
+    return C
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_codes())
+def test_weight_scan_distance_matches_the_pairwise_scan(C):
+    event("packed words" if C.size > codes.PACKED_ABOVE_WORDS else "word tuples")
+    # on a group code d(x, y) = w(x * y^-1), so the least non-identity
+    # weight is the minimum distance; n+1 on the identity singleton
+    expected = brute_min_distance(C.words) if C.size > 1 else C.length + 1
+    assert gc.code_distance(C) == gc.min_weight_nonidentity(C) == expected
+    assert gc.min_distance(C) == expected
+    assert gc.parameters(C).min_distance == expected
+
+
+@st.composite
+def codes_around_the_packing_threshold(draw):
+    """A plain code of up to 200 random words, or a generated group code,
+    over Z/2, Z/3, Z/4, V4 or S3: on both sides of codes.PACKED_ABOVE_WORDS."""
+    G = draw(st.sampled_from(ALPHABETS))
+    # half the draws are codes from a space of over 128 words, most of
+    # them above the threshold: a list strategy rarely draws that many
+    above = draw(st.booleans())
+    shortest = {2: 8, 3: 5, 4: 4, 6: 3}[G.order] if above else 1
+    n = draw(st.integers(shortest, {2: 8, 3: 5, 4: 4, 6: 3}[G.order]))
+    word = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    if draw(st.booleans()):
+        gens = draw(st.lists(word, min_size=1, max_size=2 * n if above else 3))
+        return gc.generate_group_code(G, n, gens)
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(100, 200) if above else st.integers(1, 64))
+    return gc.Code.from_words(G, n, [tuple(rng.randrange(G.order) for _ in range(n))
+                                     for _ in range(count)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_around_the_packing_threshold())
+def test_packed_distance_matches_the_word_tuples(C):
+    event("packed words" if C.size > codes.PACKED_ABOVE_WORDS else "word tuples")
+    expected = brute_min_distance(C.words) if C.size > 1 else C.length + 1
+    assert gc.min_distance(C) == expected
+    pairs = itertools.combinations(zip(C.words[:24], C.packed_words[:24]), 2)
+    for (x, px), (y, py) in pairs:
+        assert (px ^ py).bit_count() == 2 * gc.hamming_distance(x, y)
 
 
 @st.composite

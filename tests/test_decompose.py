@@ -14,7 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 import groupcodes as gc
 from groupcodes import serialize
 from groupcodes.cli import main
-from groupcodes.codes import NUMPY_ABOVE_WORDS
+from groupcodes.codes import PACKED_ABOVE_WORDS
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT,
                                   CERT_PRIME, _ProjCounter)
 from groupcodes.errors import PreconditionError, ResourceLimitError
@@ -246,22 +246,24 @@ def test_decompose_evaluates_each_certificate_once(code_d, hamming, monkeypatch,
     assert dec.certificates == (CERT_MDS, CERT_MDS, CERT_MDS)
 
     # each certificate evaluation reads MDS and perfect off one parameter
-    # report, so it makes one pairwise distance scan (two when is_mds and
-    # is_perfect scanned separately)
-    scans = []
-    scan = cmod.min_distance
+    # report, so it makes one distance evaluation (two when is_mds and
+    # is_perfect evaluated separately); on group codes each is a weight
+    # scan, and no pairwise scan runs
+    evaluations, scans = [], []
 
-    def counted_scan(C):
-        scans.append(C.words)
-        return scan(C)
+    def counted(log, fn):
+        return lambda C: log.append(C.words) or fn(C)
 
-    monkeypatch.setattr(cmod, "min_distance", counted_scan)
-    monkeypatch.setattr(clmod, "min_distance", counted_scan)
+    for mod in (cmod, clmod):
+        monkeypatch.setattr(mod, "code_distance", counted(evaluations, cmod.code_distance))
+        monkeypatch.setattr(mod, "min_distance", counted(scans, cmod.min_distance))
 
     def count(run):
+        evaluations.clear()
         scans.clear()
         run()
-        return len(scans)
+        assert scans == []
+        return len(evaluations)
 
     path = tmp_path / "ddr2.json"
     path.write_text(json.dumps(serialize.code_to_json(total)), encoding="utf-8")
@@ -269,9 +271,25 @@ def test_decompose_evaluates_each_certificate_once(code_d, hamming, monkeypatch,
     assert count(lambda: gc.aut_group(total)) == 5
     assert count(lambda: gc.decompose(gc.direct_sum(hamming, hamming))) == 3
     assert count(lambda: gc.decompose(gc.direct_sum_all([code_d] * 4))) == 7
-    # analyze: its own parameters, classify's three, the root's
+    # analyze: its own parameters, classify's one report, the root's
     # certificates section and the decomposition's five
-    assert count(lambda: main(["analyze", str(path)])) == 10
+    assert count(lambda: main(["analyze", str(path)])) == 8
+
+
+def test_decompose_keeps_the_components_of_its_recursion(code_d, monkeypatch):
+    # D^6 splits five times, two projections each; the six components are
+    # those projections, not six more projections of all 4096 words
+    C = gc.direct_sum_all([code_d] * 6)
+    calls = []
+    original = dmod.projection
+    monkeypatch.setattr(dmod, "projection", lambda code, coords: calls.append(coords)
+                        or original(code, coords))
+    dec = gc.decompose(C)
+    assert len(calls) == 10
+    assert dec.partition.blocks == tuple((i, i + 1, i + 2) for i in range(0, 18, 3))
+    monkeypatch.undo()
+    dec.check(C)
+    assert all(isinstance(comp, gc.GroupCode) for comp in dec.components)
 
 
 def test_uncertified_blocks_get_their_certificates_at_the_end(code_d, z2, monkeypatch):
@@ -308,31 +326,38 @@ def test_split_search_keeps_no_projection_counts():
 
 ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4), gc.klein_four_group()]
 
+S3 = gc.group_from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]], "S3")
+
 
 @st.composite
 def counted_codes(draw):
-    """A random group code or plain code over Z/2, Z/3, Z/4 or V4, with up
-    to a few hundred words, so on both sides of NUMPY_ABOVE_WORDS."""
-    G = draw(st.sampled_from(ALPHABETS))
-    n = draw(st.integers(1, 9 if G.order == 2 else 5))
+    """A random group code or plain code over Z/2, Z/3, Z/4, V4 or S3, with
+    up to a few hundred words, so on both sides of PACKED_ABOVE_WORDS."""
+    G = draw(st.sampled_from(ALPHABETS + [S3]))
+    # half the draws are codes from a space of over 128 words, most of
+    # them above the threshold: a list strategy rarely draws that many
+    above = draw(st.booleans())
+    shortest = {2: 8, 3: 5, 4: 4, 6: 3}[G.order] if above else 1
+    n = draw(st.integers(shortest, {2: 9, 3: 5, 4: 5, 6: 4}[G.order]))
     words = st.tuples(*[st.integers(0, G.order - 1)] * n)
     if draw(st.booleans()):
-        return gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=4)))
-    return gc.Code.from_words(G, n, draw(st.lists(words, min_size=1, max_size=200)))
+        gens = draw(st.lists(words, min_size=1, max_size=2 * n if above else 4))
+        return gc.generate_group_code(G, n, gens)
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(100, 200) if above else st.integers(1, 64))
+    return gc.Code.from_words(G, n, [tuple(rng.randrange(G.order) for _ in range(n))
+                                     for _ in range(count)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(counted_codes(), st.data())
 def test_projection_counter_matches_a_tuple_set_count(C, data):
+    event("packed words" if C.size > PACKED_ABOVE_WORDS else "word tuples")
     counter = _ProjCounter(C)
-    assert counter.packed == (C.size > NUMPY_ABOVE_WORDS)
     for _ in range(4):
         coords = tuple(sorted(data.draw(st.sets(st.integers(0, C.length - 1), min_size=1))))
         assert counter.card(coords) == len({tuple(w[i] for i in coords) for w in C.words})
-
-
-S3 = gc.group_from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
-                          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]], "S3")
 
 
 @st.composite
@@ -341,7 +366,7 @@ def certified_codes(draw):
     identity singleton, the full space or a named MDS or perfect code,
     maybe with its words taken as a plain code, maybe with a constant
     coordinate appended (degenerate). Plain codes reach past
-    NUMPY_ABOVE_WORDS."""
+    PACKED_ABOVE_WORDS."""
     G = draw(st.sampled_from(ALPHABETS + [S3]))
     n = draw(st.integers(1, {2: 7, 3: 4, 4: 4, 6: 3}[G.order]))
     words = st.tuples(*[st.integers(0, G.order - 1)] * n)

@@ -1,8 +1,9 @@
-"""numpy is loaded on first use, only by the kernels for codes above
-``NUMPY_ABOVE_WORDS`` words; each check runs in a fresh interpreter."""
+"""What the program loads: never numpy, and the self test only for its
+verb; each run check runs in a fresh interpreter."""
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import os
@@ -75,20 +76,65 @@ def scrambled_d4() -> tuple[list, list]:
     return scrambled, blocks
 
 
-def test_decompose_above_64_words_loads_numpy_and_matches_the_pure_python_run(tmp_path):
+def test_no_module_imports_numpy():
+    found = []
+    for path in sorted((SRC / "groupcodes").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert found == []
+
+
+VERBS_RUN = """
+import contextlib, io, json, sys
+import groupcodes.cli
+{patch}
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = groupcodes.cli.main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({{"numpy": "numpy" in sys.modules, "runs": runs}}))
+"""
+
+
+def test_no_verb_loads_numpy_above_64_words_and_packed_kernels_match_the_tuple_path(tmp_path):
     words, blocks = scrambled_d4()
-    path = tmp_path / "d4.json"
-    path.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 12,
-                                "group": True, "codewords": [list(w) for w in words]}))
-    got = cli_run(["decompose", str(path)])
-    assert got["exit"] == 0 and got["numpy"]
-    report = json.loads(got["stdout"])
-    assert report["blocks"] == blocks
-    assert [iso["alpha"] for iso in report["isotypes"]] == [4]
-    assert report["certificates"] == ["mds-nontrivial"] * 4
-    # the same bytes with every kernel on its pure-Python path
-    pure = cli_run(["decompose", str(path)], patch=(
+    for group in (True, False):
+        (tmp_path / f"d4_{group}.json").write_text(json.dumps(
+            {"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 12, "group": group,
+             "codewords": [list(w) for w in words]}))
+    # the even-weight code of length 8: cyclic, 128 words
+    even = [list(w) for w in itertools.product((0, 1), repeat=8) if sum(w) % 2 == 0]
+    (tmp_path / "even8.json").write_text(json.dumps(
+        {"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 8, "group": True,
+         "codewords": even}))
+    group, plain, cyclic = (str(tmp_path / name)
+                            for name in ("d4_True.json", "d4_False.json", "even8.json"))
+    argvs = [["analyze", group], ["decompose", group], ["aut", group, "--with-structure"],
+             ["iso", group, group], ["analyze", plain], ["decompose", plain],
+             ["iso", plain, plain], ["interleave", cyclic, "--copies", "2"],
+             ["join", cyclic, cyclic], ["selftest", "--trials", "1"]]
+    got = json.loads(run(VERBS_RUN.format(patch=""), json.dumps(argvs)))
+    assert not got["numpy"]
+    assert [code for code, _ in got["runs"]] == [0] * len(argvs)
+    for _, stdout in got["runs"][1], got["runs"][5]:
+        report = json.loads(stdout)
+        assert report["blocks"] == blocks
+        assert [iso["alpha"] for iso in report["isotypes"]] == [4]
+    assert json.loads(got["runs"][1][1])["certificates"] == ["mds-nontrivial"] * 4
+    assert json.loads(got["runs"][0][1])["parameters"]["min_distance"] == 2
+    assert json.loads(got["runs"][4][1])["parameters"]["min_distance"] == 2
+    # the same bytes with every kernel on its word-tuple path
+    tuples = json.loads(run(VERBS_RUN.format(patch=(
         "import importlib\n"
         "for name in ('groupcodes.codes', 'groupcodes.decompose'):\n"
-        "    importlib.import_module(name).NUMPY_ABOVE_WORDS = 10**9\n"))
-    assert not pure["numpy"] and pure == dict(got, numpy=False)
+        "    importlib.import_module(name).PACKED_ABOVE_WORDS = 10**9\n")), json.dumps(argvs)))
+    assert tuples == got

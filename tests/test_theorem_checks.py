@@ -44,7 +44,7 @@ def test_decompose_rejects_witness_that_does_not_reassemble(monkeypatch, code_d,
 def test_parameters_rejects_singleton_violation(monkeypatch, code_d):
     assert gc.parameters(code_d).min_distance == 2
     # |C| = 4 > 2^(3 - 3 + 1) once the distance is misreported as 3
-    monkeypatch.setattr(codes_module, "min_distance", lambda C: C.length)
+    monkeypatch.setattr(codes_module, "code_distance", lambda C: C.length)
     with pytest.raises(TheoremViolationError):
         gc.parameters(code_d)
 
@@ -97,7 +97,7 @@ def test_theorem_checks_survive_optimized_mode():
         GroupCodeIso.verify = lambda self, pair_check=None: False
         importlib.import_module("groupcodes.decompose").apply_to_code = (
             lambda iso, C: gc.Code.from_words(C.alphabet, C.length, [C.identity_word()]))
-        importlib.import_module("groupcodes.codes").min_distance = lambda C: C.length
+        importlib.import_module("groupcodes.codes").code_distance = lambda C: C.length
         raised = 0
         for call in (lambda: gc.gc_isomorphic(left, right), lambda: gc.decompose(left),
                      lambda: gc.parameters(d), lambda: gc.aut_group(dd, broken)):
