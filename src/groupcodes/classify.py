@@ -107,24 +107,85 @@ def constant_weight_general(C: Code, *, center_cap: int = DEFAULT_CENTER_CAP,
                             centers: list[Word] | None = None) -> tuple[Word, int] | None:
     """Search for a center placing all codewords on one sphere.
 
-    Scans candidate centers in lexicographic order (all of A^n unless a
-    restricted list is supplied). A singleton {w} reports (w, 0).
+    Returns the lexicographically least center of A^n (or the first of a
+    restricted list, if one is supplied) with its radius. A singleton {w}
+    reports (w, 0). The cap applies to q^n, the candidates of A^n.
     """
     if C.size == 1:
         return (C.words[0], 0)
     q, n = C.alphabet.order, C.length
-    if centers is None:
-        if q**n > center_cap:
-            raise ResourceLimitError(
-                f"{q**n} candidate centers exceed the cap {center_cap}; pass centers= to restrict")
-        centers_iter = itertools.product(range(q), repeat=n)
-    else:
-        centers_iter = iter(centers)
-    for x0 in centers_iter:
-        first = hamming_distance(C.words[0], x0)
-        if all(hamming_distance(w, x0) == first for w in C.words[1:]):
-            return (tuple(x0), first)
-    return None
+    if centers is not None:
+        for x0 in centers:
+            first = hamming_distance(C.words[0], x0)
+            if all(hamming_distance(w, x0) == first for w in C.words[1:]):
+                return (tuple(x0), first)
+        return None
+    if q**n > center_cap:
+        raise ResourceLimitError(
+            f"{q**n} candidate centers exceed the cap {center_cap}; pass centers= to restrict")
+    return _least_center(C)
+
+
+def _least_center(C: Code) -> tuple[Word, int] | None:
+    """Depth-first search over coordinates 0..n-1, symbols ascending, so
+    the first complete center is the lexicographically least one.
+
+    Every other word i keeps its gap d(w_i, x) - d(w_0, x) on the prefix x.
+    Only the later coordinates where w_i and w_0 differ can move that gap,
+    each by at most one, so a prefix is cut as soon as some gap exceeds
+    their number in absolute value. Symbols absent from a column move no
+    gap; all of them lead to the same subtree, so only the least is tried.
+    """
+    q, n = C.alphabet.order, C.length
+    first, others = C.words[0], C.words[1:]
+    # per coordinate k: the other words differing from w_0 there, their
+    # symbols, and the number of coordinates after k where each still differs
+    diff_idx = [tuple(i for i, w in enumerate(others) if w[k] != first[k]) for k in range(n)]
+    diff_sym = [tuple(others[i][k] for i in idx) for k, idx in enumerate(diff_idx)]
+    later = [0] * len(others)
+    bounds: list[tuple[int, ...]] = [()] * n
+    for k in reversed(range(n)):
+        bounds[k] = tuple(later[i] for i in diff_idx[k])
+        for i in diff_idx[k]:
+            later[i] += 1
+    candidates = []
+    for k, syms in enumerate(diff_sym):
+        column = {first[k], *syms}
+        if len(column) == 1:
+            candidates.append((0,))   # no symbol moves a gap here
+        else:
+            absent = [s for s in range(q) if s not in column][:1]
+            candidates.append(tuple(sorted(column.union(absent))))
+    gap = [0] * len(others)
+    center = [0] * n
+    trials = [iter(candidates[0])]   # per coordinate entered: the symbols left to try
+    saved: list[list[int]] = []      # per coordinate set: the gaps it moved, as they were
+    k = 0
+    while True:
+        idx, syms, bound, e = diff_idx[k], diff_sym[k], bounds[k], first[k]
+        for s in trials[k]:
+            if s == e:
+                moved = [gap[i] + 1 for i in idx]
+            else:
+                moved = [gap[i] - (a == s) for i, a in zip(idx, syms)]
+            if all(-b <= g <= b for g, b in zip(moved, bound)):
+                break
+        else:
+            trials.pop()
+            k -= 1
+            if k < 0:
+                return None
+            for i, g in zip(diff_idx[k], saved.pop()):
+                gap[i] = g
+            continue
+        saved.append([gap[i] for i in idx])
+        for i, g in zip(idx, moved):
+            gap[i] = g
+        center[k] = s
+        k += 1
+        if k == n:
+            return (tuple(center), sum(a != b for a, b in zip(first, center)))
+        trials.append(iter(candidates[k]))
 
 
 @dataclass(frozen=True)

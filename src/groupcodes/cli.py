@@ -3,9 +3,10 @@
 Exit codes: 0 success (for `iso`: isomorphic), 1 `iso` found no
 isomorphism or `selftest` failed, 2 malformed input, 3 a search hit its
 resource cap (a partial report is still emitted), 4 internal error (a
-structure theorem checked at run time failed: a bug in the program, never
-bad input). Reports go to stdout, diagnostics and timings to stderr, so
-stdout is a pure function of the input file and flags.
+structure theorem checked at run time failed, or a verb raised an
+unexpected exception: a bug in the program, never bad input). Reports go
+to stdout, diagnostics and timings to stderr, so stdout is a pure
+function of the input file and flags.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from typing import Any, Sequence
 
 from .classify import DEFAULT_CENTER_CAP, classify, perfect_by_enumeration
@@ -42,7 +44,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    metavar="M", help="node cap for each isomorphism search "
                                      "(and leaf cap for assembled automorphism groups)")
     p.add_argument("--center-cap", type=int, default=DEFAULT_CENTER_CAP,
-                   metavar="W", help="word cap for the constant-weight center scan")
+                   metavar="W", help="cap on q^n, the candidates of the constant-weight "
+                                     "center search")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized self tests")
     p.add_argument("--oracle", action="store_true",
                    help="enable brute-force cross-checks where gated")
@@ -319,6 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GroupCodesError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception:  # a bug in the program; KeyboardInterrupt and SystemExit pass
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     finally:
         if args.timings:
             phases.report(sys.stderr)

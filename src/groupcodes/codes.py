@@ -108,6 +108,16 @@ class Code:
         e, n = self.alphabet.identity, self.length
         return Counter(n - w.count(e) for w in self.words)
 
+    @cached_property
+    def distance(self) -> int:
+        """Minimum distance, n+1 for a singleton code, computed on first
+        use: read off the weight distribution of a group code, where the
+        metric is translation invariant (d(x, y) = w(x * y^-1)), and by the
+        pairwise scan ``min_distance`` otherwise."""
+        if isinstance(self, GroupCode):
+            return min_weight_nonidentity(self)
+        return min_distance(self)
+
     @property
     def size(self) -> int:
         return len(self.words)
@@ -226,12 +236,9 @@ def min_weight_nonidentity(C: GroupCode) -> int:
 
 
 def code_distance(C: Code) -> int:
-    """Minimum distance, n+1 for a singleton code: read off the weight
-    distribution of a group code, where the metric is translation
-    invariant (d(x, y) = w(x * y^-1)), and the pairwise scan otherwise."""
-    if isinstance(C, GroupCode):
-        return min_weight_nonidentity(C)
-    return min_distance(C)
+    """Minimum distance, n+1 for a singleton code: the code's cached
+    ``Code.distance``, so each code pays its distance scan once."""
+    return C.distance
 
 
 def projection(C: Code, coords: Sequence[int]) -> Code:

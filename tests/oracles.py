@@ -140,6 +140,20 @@ def weight_distribution(C: Code) -> Counter:
     return Counter(hamming_distance(w, e) for w in C.words)
 
 
+def constant_weight_center(C: Code) -> tuple[tuple[int, ...], int] | None:
+    """The first center of A^n, in ``itertools.product`` order, with every
+    codeword at one distance from it, and that distance; None if there is
+    none. Scans all q^n candidates: the oracle for the pruned search of
+    ``classify.constant_weight_general``."""
+    if C.size == 1:
+        return (C.words[0], 0)
+    for x0 in itertools.product(range(C.alphabet.order), repeat=C.length):
+        first = hamming_distance(C.words[0], x0)
+        if all(hamming_distance(w, x0) == first for w in C.words[1:]):
+            return (x0, first)
+    return None
+
+
 def applicable_certificates(C: Code) -> tuple[str, ...]:
     """The indecomposability certificates of C in priority order, one
     predicate per certificate: ``is_mds`` and ``is_perfect`` each scan

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import groupcodes as gc
+from groupcodes.cli import main
 from groupcodes.errors import ResourceLimitError
+
+import oracles
+
+S3 = gc.group_from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]])
+ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4),
+             gc.klein_four_group(), S3]
 
 
 def ball_by_enumeration(q, n, r):
@@ -90,6 +100,68 @@ def test_constant_weight_general_cap(z2):
     center = (1,) * 11 + (0,) * 11
     assert gc.constant_weight_general(wide, centers=[center]) == (center, 11)
     assert gc.constant_weight_general(wide, centers=[(0,) * 21 + (1,)]) is None
+
+
+@st.composite
+def plain_codes(draw):
+    """A plain code of length at most 6 over Z/2, Z/3, Z/4, V4 or S3:
+    random words, words on one sphere, two words, a singleton or the
+    full space (of length at most 4 over S3)."""
+    G = draw(st.sampled_from(ALPHABETS))
+    q = G.order
+    kind = draw(st.sampled_from(["random", "sphere", "pair", "singleton", "full"]))
+    event(kind)
+    # the oracle's scan of the full space S3^6 takes about 16 s
+    n = draw(st.integers(1, 4 if kind == "full" and q == 6 else 6))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    if kind == "random":
+        words = draw(st.lists(word, min_size=1, max_size=12))
+    elif kind == "sphere":
+        center, r = draw(word), draw(st.integers(0, n))
+        words = []
+        for _ in range(draw(st.integers(1, 8))):
+            w = list(center)
+            for j in draw(st.permutations(range(n)))[:r]:
+                w[j] = (w[j] + draw(st.integers(1, q - 1))) % q
+            words.append(w)
+    elif kind == "pair":
+        words = [draw(word), draw(word)]
+    elif kind == "singleton":
+        words = [draw(word)]
+    else:
+        words = gc.all_words(q, n)
+    return gc.Code.from_words(G, n, words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_codes())
+def test_center_search_matches_the_full_scan(C):
+    # the pruned search returns the first center of the q^n scan, or none
+    expected = oracles.constant_weight_center(C)
+    event("center" if expected is not None else "no center")
+    assert gc.constant_weight_general(C) == expected
+    c = gc.classify(C)
+    assert c.constant_weight == expected and c.constant_weight_checked
+
+
+def test_center_search_runs_at_the_cap_and_is_refused_above_it(z2, tmp_path, capsys):
+    # 2^10 candidates: searched at a cap of 2^10, refused at 2^10 - 1
+    C = gc.Code.from_words(z2, 10, [(0,) * 10, (1,) * 4 + (0,) * 6, (1,) * 10])
+    expected = oracles.constant_weight_center(C)
+    assert expected is not None
+    assert gc.constant_weight_general(C, center_cap=2**10) == expected
+    assert gc.classify(C, center_cap=2**10).constant_weight == expected
+    with pytest.raises(ResourceLimitError):
+        gc.constant_weight_general(C, center_cap=2**10 - 1)
+    c = gc.classify(C, center_cap=2**10 - 1)
+    assert c.constant_weight is None and not c.constant_weight_checked
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(gc.serialize.code_to_json(C)), encoding="utf-8")
+    for cap, checked in [(2**10, True), (2**10 - 1, False)]:
+        assert main(["analyze", str(path), "--center-cap", str(cap)]) == 0
+        doc = json.loads(capsys.readouterr().out)["classification"]
+        assert doc["constant_weight_checked"] is checked
+        assert (doc["constant_weight"] is not None) is checked
 
 
 def test_classify_z4_example(z4_code):

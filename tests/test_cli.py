@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -316,3 +317,62 @@ def test_analyze_rejects_non_int_symbols(tmp_path, capsys, doc, field):
     assert main(["analyze", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {field}:")
+
+
+PLAIN_DOC = {"alphabet": {"kind": "cyclic", "modulus": 4}, "length": 3,
+             "codewords": [[0, 0, 0], [1, 2, 3], [2, 3, 1], [3, 1, 1], [0, 2, 2]]}
+
+
+@pytest.mark.parametrize("name,oracle,scans", [
+    ("plain", False, 1),   # parameters, classify, certificates and decompose share one
+    ("plain", True, 2),    # the covering oracle scans on its own
+    ("d", False, 0),       # a group code reads its weight distribution
+    ("d", True, 2),        # so do the covering and the weight-scan oracles
+])
+def test_analyze_scans_the_distance_once_per_code(files, tmp_path, capsys, monkeypatch,
+                                                  name, oracle, scans):
+    from groupcodes import codes
+    path = tmp_path / "plain.json"
+    path.write_text(json.dumps(PLAIN_DOC), encoding="utf-8")
+    files = {**files, "plain": str(path)}
+    calls = []
+    original = codes.min_distance
+
+    def counted(C):
+        calls.append(C.words)
+        return original(C)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("groupcodes")]:
+        if getattr(mod, "min_distance", None) is original:
+            monkeypatch.setattr(mod, "min_distance", counted)
+    code, doc = run_json(capsys, ["analyze", files[name]] + ["--oracle"] * oracle)
+    assert code == 0
+    assert len(doc["decomposition"]["blocks"]) == 1
+    assert len(calls) == scans
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), RecursionError("deep")])
+def test_an_unexpected_exception_is_an_internal_error(files, capsys, monkeypatch, exc):
+    from groupcodes import cli
+
+    def crash(args, phases):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", crash)
+    assert main(["analyze", files["d"]]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert "Traceback" in captured.err and type(exc).__name__ in captured.err
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(7)])
+def test_interrupts_and_exits_pass_through(files, monkeypatch, exc):
+    from groupcodes import cli
+
+    def stop(args, phases):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", stop)
+    with pytest.raises(type(exc)):
+        main(["analyze", files["d"]])
