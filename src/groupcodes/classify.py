@@ -72,15 +72,18 @@ def is_perfect(C: Code) -> bool:
     return sphere_packing_tight(p.alphabet_size, p.length, p.size, p.correction_capacity)
 
 
-def perfect_by_enumeration(C: Code, gate: int = DEFAULT_ENUMERATION_GATE) -> bool:
+def perfect_by_enumeration(C: Code, gate: int = DEFAULT_ENUMERATION_GATE,
+                           distance: int | None = None) -> bool:
     """Oracle for is_perfect: walk A^n and demand exactly one codeword per e-ball.
 
-    Kept deliberately independent of the sphere-packing arithmetic.
+    Kept deliberately independent of the sphere-packing arithmetic. The
+    radius e comes from ``distance``, when the caller already ran the
+    pairwise scan ``min_distance``, or else from that scan.
     """
     q, n = C.alphabet.order, C.length
     if q**n > gate:
         raise ResourceLimitError(f"covering enumeration gated at {gate} words, space has {q**n}")
-    e = (min_distance(C) - 1) // 2
+    e = ((min_distance(C) if distance is None else distance) - 1) // 2
     for x in itertools.product(range(q), repeat=n):
         holders = 0
         for c in C.words:

@@ -174,13 +174,18 @@ def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
         limits.append("cyclic")
     if args.oracle:
         oracle: dict[str, Any] = {}
-        if code.alphabet.order ** code.length <= 2**16:
-            agree = perfect_by_enumeration(code) == report["classification"]["is_perfect"]
+        covering = code.alphabet.order ** code.length <= 2**16
+        weight_scan = isinstance(code, GroupCode) and code.size >= 2
+        # one pairwise scan serves both oracles
+        d = min_distance(code) if covering or weight_scan else None
+        if covering:
+            agree = (perfect_by_enumeration(code, distance=d)
+                     == report["classification"]["is_perfect"])
             oracle["perfect_covering_agrees"] = agree
             if not agree:
                 raise TheoremViolationError("sphere packing disagrees with covering enumeration")
-        if isinstance(code, GroupCode) and code.size >= 2:
-            oracle["weight_scan_agrees"] = min_distance(code) == min_weight_nonidentity(code)
+        if weight_scan:
+            oracle["weight_scan_agrees"] = d == min_weight_nonidentity(code)
         report["oracle"] = oracle
     report["resource_limits"] = limits
     with phases("report"):

@@ -218,15 +218,18 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     # recursion certified
     leaves: list[tuple[tuple[int, ...], Code]] = []
     certified: dict[tuple[int, ...], str | None] = {}
+    # projections with equal words share one Code, and so its memos
+    shared: dict[tuple, Code] = {}
 
     def rec(indices: tuple[int, ...], code: Code) -> None:
+        code = shared.setdefault(code.words, code)
         if len(indices) == 1:
             leaves.append((indices, code))
             return
         _, constant_pos = is_degenerate(code)
         if constant_pos:
             for p in constant_pos:
-                leaves.append(((indices[p],), projection(code, (p,))))
+                rec((indices[p],), projection(code, (p,)))
             constant = set(constant_pos)
             keep = [p for p in range(code.length) if p not in constant]
             if keep:

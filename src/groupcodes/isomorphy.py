@@ -19,13 +19,19 @@ search tree and runs one find-one search under each other child of its
 nodes, since the leaves below a child are a coset of the stabilizer below
 it and one leaf represents them. The leaves follow by composition, lazily
 and in the order of the find-all search (``_IsoSearch.dfs_leaves``). A group
-within the explicit cap is built element by element as (σ, maps) pairs:
-each representative leaf with its bijective extensions, conjugated onto
-every block of its isotype by the decomposition's witnesses, combined
-over every block permutation, and sorted once; no leaf list of the whole
-code is built. Larger groups read the whole code's leaves, combined the
-same way and sorted into the find-all order (``_assemble``), for their
-generators. The find-all search stays in the tests as the oracle.
+within the explicit cap is built element by element as (σ, maps) pairs
+(``_explicit_elements``): each representative leaf, conjugated onto every
+block of its isotype by the decomposition's witnesses, with its bijective
+extensions, combined over every block permutation, and sorted once; so it
+needs the leaves in no DFS order, and no leaf list of the whole code is
+built. A block whose witness is the identity, as decompose gives every
+representative, is not conjugated: its leaves are leaves of C as they
+are. The greedy generators read each element's inverse point form
+(``_InversePoints``), whose coordinate runs are cached per coordinate and
+map. Larger groups read the whole code's leaves, combined the same way and
+sorted into the find-all order (``_assemble``), for their generators. The
+find-all search and the element by element route stay in the tests as
+oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .codes import Code, GroupCode, Word, direct_sum_all, word_mul
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
 from .groups import CosetClosure, subgroup_isomorphisms, word_closure
-from .isometry import Isometry, identity_isometry, pair_points
+from .isometry import Isometry, identity_isometry
 from .phases import Phases
 
 if TYPE_CHECKING:  # structure checks take a Decomposition without importing at runtime
@@ -333,11 +339,12 @@ class _IsoSearch:
                 f"is no subgroup isomorphism; the automorphism assembly is buggy")
         return hit
 
-    def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]]) -> Iterator[Leaf]:
+    def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]], *,
+                   ordered: bool = True) -> Iterator[Leaf]:
         """Every leaf of Aut(C) from the coset search, lazily, in the
         find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1),
         k_1, ...) with k_j the position of restriction j in
-        ``_candidate_maps(σ(j), j)``.
+        ``_candidate_maps(σ(j), j)``; in no fixed order when not ``ordered``.
 
         With T_j the identity and the leaves found at depth j, a leaf
         factors uniquely as t_(n-1)∘...∘t_0 with t_j in T_j, and its entry
@@ -359,7 +366,8 @@ class _IsoSearch:
                 yield x[0], tuple([known[a][0] for a in x[1]])
                 return
             products = [x if t is None else self._times(t, x, known) for t in levels[j]]
-            products.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
+            if ordered:
+                products.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
             for y in products:
                 yield from below(j + 1, y)
 
@@ -550,16 +558,21 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
     if dec is None or dec.indecomposable:
         dec = _one_block(C)
     with phases("search"):
-        search, rep_leaves, rows, count = _aut_leaves(C, dec, max_nodes=max_nodes)
+        search, searched, rows, count = _aut_leaves(C, dec, max_nodes=max_nodes)
     order = count * search.extension_count()
+    # an explicit group is sorted at the end, so it needs no DFS order
+    explicit = order <= explicit_cap
+    rep_leaves = [ks.dfs_leaves(identity, found, ordered=not explicit)
+                  for ks, identity, found in searched]
 
     pairs: tuple[ElementPair, ...] | None = None
-    if order <= explicit_cap:
+    if explicit:
         with phases("elements"):
-            pairs = tuple(_direct_elements(search, dec, rep_leaves))
+            pairs = tuple(_explicit_elements(search, dec, rep_leaves))
         with phases("generators"):
-            picks = _greedy_picks((pair_points(sigma, maps, q) for sigma, maps in pairs),
-                                  q * n, order)
+            # x is in <S> exactly when x^-1 is, so the inverse point forms
+            # give the same picks
+            picks = _greedy_picks(map(_InversePoints(), pairs), q * n, order)
             gen_isos = tuple(Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
     else:
         with phases("generators"):
@@ -592,11 +605,13 @@ def _one_block(C: GroupCode) -> "Decomposition":
 
 
 def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
-                ) -> tuple[_IsoSearch, list[Iterator[Leaf]], tuple[tuple[int, int, int], ...], int]:
-    """The automorphism search leaves of each isotype representative, lazily
-    and in DFS order (``_IsoSearch.dfs_leaves``), with the search over C
-    (which owns C's candidate lists), the structure rows (isotype, |Aut| of
-    its representative, alpha) and the number of C's search leaves.
+                ) -> tuple[_IsoSearch, list[tuple[_IsoSearch, Leaf, list[list[Leaf]]]],
+                           tuple[tuple[int, int, int], ...], int]:
+    """The coset search of each isotype representative, as its search, its
+    identity leaf and its coset representatives per depth (for
+    ``_IsoSearch.dfs_leaves``), with the search over C (which owns C's
+    candidate lists), the structure rows (isotype, |Aut| of its
+    representative, alpha) and the number of C's search leaves.
 
     By the product formula Aut(⊕ D_j^alpha_j) = prod Aut(D_j) ≀ Sym(alpha_j),
     only one representative per isotype is searched, by the coset search
@@ -636,8 +651,7 @@ def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
             f"assembling {count} automorphism search leaves exceeds the cap of "
             f"{max_nodes}; non-identity automorphisms found: {len(lifted)}",
             partial_generators=_witnesses(search, lifted), incomplete=True)
-    rep_leaves = [ks.dfs_leaves(identity, found) for ks, identity, found in searched]
-    return search, rep_leaves, tuple(rows), count
+    return search, searched, tuple(rows), count
 
 
 def _block_sources(dec: "Decomposition") -> Iterator[list[int]]:
@@ -652,16 +666,25 @@ def _block_sources(dec: "Decomposition") -> Iterator[list[int]]:
 
 
 def _conjugated(search: _IsoSearch, dec: "Decomposition",
-                rep_leaves: Sequence[Iterable[Leaf]]) -> dict[tuple[int, int], list[tuple]]:
+                rep_leaves: Sequence[Iterable[Leaf]], *,
+                keyed: bool) -> dict[tuple[int, int], list[tuple]]:
     """Each representative leaf a carried from block k_in onto block k_out
     of its isotype, w_out∘a∘w_in^-1 with w the isotype witnesses: per
     (k_in, k_out), one tuple per leaf of its σ, its restrictions (C's
-    canonical dicts, ``_IsoSearch._canonical``) and its DFS sort keys
-    σ(j)·span + (position of restriction j in ``_candidate_maps(σ(j), j)``),
-    each over the coordinates j of block k_out in order."""
+    canonical dicts, ``_IsoSearch._canonical``) and, when ``keyed``, its
+    DFS sort keys σ(j)·span + (position of restriction j in
+    ``_candidate_maps(σ(j), j)``), each over the coordinates j of block
+    k_out in order.
+
+    Unkeyed, a block whose witness is the identity and whose component has
+    the representative's own words is not conjugated: a leaf carried
+    between two such blocks has σ = block_in[τ] and keeps its restriction
+    dicts, which are C's, since the component searches and the search
+    over C share their candidate lists."""
     q = search.q
     blocks = dec.partition.blocks
     span = math.factorial(q)  # more candidate maps than any list holds
+    ident = tuple(range(q))
     # block k's witness w_k as (σ, maps), and its inverse
     perms = [w.equiv.perm for w in dec.isotype_witnesses]
     fmaps = [w.config.maps for w in dec.isotype_witnesses]
@@ -675,16 +698,24 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
     kind_in = [projections.setdefault(p, len(projections)) for p in search.proj_in]
     kind_out = [projections.setdefault(p, len(projections)) for p in search.proj_out]
     positions, dicts, keys = itemgetter(0), itemgetter(1), span.__mul__
-    for members, kleaves in zip(dec.isotype_members, map(list, rep_leaves)):
+    for (rep, _), members, kleaves in zip(dec.isotypes, dec.isotype_members,
+                                          map(list, rep_leaves)):
+        words = dec.components[rep].words
+        plain = {k for k in members if not keyed and dec.components[k].words == words
+                 and list(perms[k]) == sorted(perms[k]) and set(fmaps[k]) == {ident}}
         for k_out in members:
             block, order, gs = blocks[k_out], perms[k_out], fmaps[k_out]
             kinds = [kind_out[j] for j in block]
             for k_in in members:
+                options = parts[k_in, k_out] = []
+                if k_in in plain and k_out in plain:
+                    coords = blocks[k_in].__getitem__
+                    options += [tuple(map(coords, tau)) + restr for tau, restr in kleaves]
+                    continue
                 # for each coordinate of the representative: C's input
                 # coordinate and the inverse witness map there
                 coords = [blocks[k_in][u] for u in inv_perms[k_in]]
                 hs = [inv_maps[k_in][u] for u in inv_perms[k_in]]
-                options = parts[k_in, k_out] = []
                 for tau, restr in kleaves:
                     sig = tuple([coords[tau[s]] for s in order])
                     fs = list(map(restr.__getitem__, order))
@@ -701,8 +732,10 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
                             if h[a] in f:
                                 table[a] = g[f[h[a]]]
                         hits[t] = composed[found[t]] = search._canonical(sig[t], block[t], table)
-                    options.append(sig + tuple(map(dicts, hits))
-                                   + tuple(map(add, map(keys, sig), map(positions, hits))))
+                    option = sig + tuple(map(dicts, hits))
+                    if keyed:
+                        option += tuple(map(add, map(keys, sig), map(positions, hits)))
+                    options.append(option)
     return parts
 
 
@@ -711,12 +744,16 @@ def _combined(dec: "Decomposition", parts: dict[tuple[int, int], list[tuple]],
     """For every block permutation within each isotype (``_block_sources``)
     and every choice of one part ``parts[k_in, k_out]`` per block k_out,
     the parts concatenated in block order, and one getter per field that
-    reads it off them in coordinate order. A part holds ``fields`` runs of
-    one entry per coordinate of its block, in the block's order. Needs two
-    blocks or more, so that each getter reads two entries or more."""
+    reads it off them as a tuple in coordinate order. A part holds
+    ``fields`` runs of one entry per coordinate of its block, in the
+    block's order; one block's parts are read as they are."""
     blocks = dec.partition.blocks
+    if len(blocks) == 1:
+        n = len(blocks[0])
+        return iter(parts[0, 0]), [itemgetter(slice(f * n, (f + 1) * n)) for f in range(fields)]
     # where coordinate j's entry of each field sits in the parts of
-    # blocks 0, 1, ... concatenated
+    # blocks 0, 1, ... concatenated; two blocks give each getter two
+    # entries or more, so it returns a tuple
     at = [[0] * sum(map(len, blocks)) for _ in range(fields)]
     offset = 0
     for block in blocks:
@@ -741,44 +778,49 @@ def _assemble(search: _IsoSearch, dec: "Decomposition",
     j)``. One block has C's own leaves, which come in that order."""
     if len(dec.partition.blocks) == 1:
         return list(rep_leaves[0])
-    flats, (sig_of, res_of, key_of) = _combined(dec, _conjugated(search, dec, rep_leaves), 3)
+    flats, (sig_of, res_of, key_of) = _combined(
+        dec, _conjugated(search, dec, rep_leaves, keyed=True), 3)
     records = [(key_of(flat), sig_of(flat), res_of(flat)) for flat in flats]
     records.sort(key=itemgetter(0))
     return [(sig, res) for _, sig, res in records]
 
 
-def _maps_over(search: _IsoSearch, sigma: Sequence[int], outputs: Sequence[int],
-               restr: Sequence[dict[int, int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every bijective extension of the restrictions pi_σ(t)(C) -> pi_j(C),
-    j = outputs[t], in lexicographic order."""
-    return itertools.product(*[search._extensions(i, j, f)
-                               for i, j, f in zip(sigma, outputs, restr)])
-
-
-def _direct_elements(search: _IsoSearch, dec: "Decomposition",
-                     rep_leaves: Sequence[Iterable[Leaf]]) -> list[ElementPair]:
+def _explicit_elements(search: _IsoSearch, dec: "Decomposition",
+                       rep_leaves: Sequence[Iterable[Leaf]]) -> list[ElementPair]:
     """Every automorphism of C as (σ, maps), sorted, without C's leaf list:
     each conjugated representative leaf (``_conjugated``) with every
     bijective extension of its restrictions, put together over every block
     permutation within each isotype (``_combined``). Extending the parts
     before combining them extends each conjugated leaf once, not once per
-    leaf of C it is part of. One block only expands C's own leaves."""
+    element it is part of. The leaves may come in any order."""
     blocks = dec.partition.blocks
-    if len(blocks) == 1:
-        elements = [(sigma, maps) for sigma, restr in rep_leaves[0]
-                    for maps in _maps_over(search, sigma, blocks[0], restr)]
-        elements.sort()
-        return elements
-    expanded = {}
-    for (k_in, k_out), options in _conjugated(search, dec, rep_leaves).items():
+    parts = {}
+    for (k_in, k_out), options in _conjugated(search, dec, rep_leaves, keyed=False).items():
         block, width = blocks[k_out], len(blocks[k_out])
-        expanded[k_in, k_out] = [
+        parts[k_in, k_out] = [
             option[:width] + maps for option in options
-            for maps in _maps_over(search, option[:width], block, option[width:2 * width])]
-    flats, (sig_of, maps_of) = _combined(dec, expanded, 2)
+            for maps in itertools.product(*map(search._extensions, option[:width], block,
+                                               option[width:]))]
+    flats, (sig_of, maps_of) = _combined(dec, parts, 2)
     elements = [(sig_of(flat), maps_of(flat)) for flat in flats]
     elements.sort()
     return elements
+
+
+class _InversePoints(dict):
+    """The point form of the inverse of f∘σ̄, called with (σ, maps): it
+    sends (j, t) to (σ(j), f_j^-1(t)), so entry j·q + t is σ(j)·q +
+    f_j^-1(t), with no inverse of σ to build. The q entries of output
+    coordinate j are kept per (σ(j), f_j), built on first use."""
+
+    def __call__(self, pair: ElementPair) -> tuple[int, ...]:
+        return tuple(itertools.chain.from_iterable(map(self.__getitem__, zip(*pair))))
+
+    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+        i, f = key
+        q = len(f)
+        run = self[key] = tuple([i * q + s for s in sorted(range(q), key=f.__getitem__)])
+        return run
 
 
 def _lifted(search: _IsoSearch, dec: "Decomposition",

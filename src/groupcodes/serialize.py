@@ -10,8 +10,10 @@ its table.
 
 Reports are written by ``dumps``, byte-identical to ``json.dumps`` with
 ``indent=2``. The ``elements`` list of an ``aut`` report, up to thousands
-of isometries, is written in one pass over each element's σ and maps,
-each distinct σ and map rendered once per report (``aut_report_dumps``).
+of isometries, is written in one pass over each element's σ and maps: each
+distinct σ and each distinct maps tuple is rendered once per report, from
+precomputed 1-based numbers, and every piece goes into one list that is
+joined once (``aut_report_dumps``).
 """
 
 from __future__ import annotations
@@ -326,8 +328,8 @@ def aut_report_dumps(r: AutGroupReport) -> str:
 class _ElementList:
     """The ``elements`` of an automorphism report, for ``dumps``: each
     element, given as (σ, maps), written as ``isometry_to_json`` gives its
-    isometry, with each distinct σ and each distinct alphabet map rendered
-    once per report."""
+    isometry, with each distinct σ and each distinct maps tuple rendered
+    once per report, into one list of pieces joined once."""
 
     def __init__(self, elements: Sequence[ElementPair]) -> None:
         self.elements = elements
@@ -340,22 +342,30 @@ class _ElementList:
         e2 = e1 + "  "      # its fields
         e3 = e2 + "  "      # entries of sigma and config
         e4 = e3 + "  "      # entries of one alphabet map
-        head = "{" + e2 + '"sigma": '
+        head = "," + e1 + "{" + e2 + '"sigma": '
         mid = "," + e2 + '"config": [' + e3
         tail = e2 + "]," + e2 + '"convention": "pull"' + e1 + "}"
         sep3, sep4 = "," + e3, "," + e4
+        numbers = [str(i + 1) for i in range(len(self.elements[0][0]))]
         sigmas: dict[tuple[int, ...], str] = {}
+        configs: dict[tuple[tuple[int, ...], ...], str] = {}
         fs: dict[tuple[int, ...], str] = {}
-        texts = []
+        pieces = []
         for perm, maps in self.elements:
             sigma = sigmas.get(perm)
             if sigma is None:
-                sigma = sigmas[perm] = "[" + e3 + sep3.join([str(i + 1) for i in perm]) + e2 + "]"
-            for f in maps:
-                if f not in fs:
-                    fs[f] = "[" + e4 + sep4.join(map(str, f)) + e3 + "]"
-            texts.append(head + sigma + mid + sep3.join(map(fs.__getitem__, maps)) + tail)
-        return "[" + e1 + ("," + e1).join(texts) + nl + "]"
+                sigma = sigmas[perm] = ("[" + e3 + sep3.join(map(numbers.__getitem__, perm))
+                                        + e2 + "]")
+            config = configs.get(maps)
+            if config is None:
+                for f in maps:
+                    if f not in fs:
+                        fs[f] = "[" + e4 + sep4.join(map(str, f)) + e3 + "]"
+                config = configs[maps] = sep3.join(map(fs.__getitem__, maps))
+            pieces += (head, sigma, mid, config, tail)
+        pieces[0] = "[" + head[1:]  # the first element opens the list
+        pieces.append(nl + "]")
+        return "".join(pieces)
 
 
 def gcd_certificate_to_json(c: GcdCertificate | None) -> dict | None:

@@ -16,8 +16,9 @@ from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, 
                                   decompose)
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                                TheoremViolationError)
-from groupcodes.isometry import Configuration, Equivalence, Isometry, compose, to_points
-from groupcodes.isomorphy import (AutGroupReport, GroupCodeIso, _greedy_picks,
+from groupcodes.isometry import (Configuration, Equivalence, Isometry, compose, pair_points,
+                                 to_points)
+from groupcodes.isomorphy import (AutGroupReport, ElementPair, GroupCodeIso, _greedy_picks,
                                   _large_order_generators, gc_isomorphic)
 
 
@@ -125,6 +126,124 @@ def aut_report_to_json(r: AutGroupReport) -> dict:
         doc["structure"] = [{"isotype": i, "component_aut_order": o, "alpha": a}
                             for i, o, a in r.structure]
     return doc
+
+
+# the explicit automorphism group, element by element -----------------------
+
+def conjugated(search, dec, rep_leaves) -> dict[tuple[int, int], list[tuple]]:
+    """Each representative leaf a carried from block k_in onto block k_out
+    of its isotype, w_out∘a∘w_in^-1 with w the isotype witnesses, every
+    block conjugated, whatever its witness: per (k_in, k_out), one tuple
+    per leaf of its σ and its restrictions (C's canonical dicts), each over
+    the coordinates j of block k_out in order. The oracle for
+    ``isomorphy._conjugated``, which carries the leaves between blocks
+    with the identity witness as they are."""
+    q = search.q
+    blocks = dec.partition.blocks
+    perms = [w.equiv.perm for w in dec.isotype_witnesses]
+    fmaps = [w.config.maps for w in dec.isotype_witnesses]
+    inv_perms = [sorted(range(len(perm)), key=perm.__getitem__) for perm in perms]
+    inv_maps = [[sorted(range(q), key=f.__getitem__) for f in fs] for fs in fmaps]
+    parts: dict[tuple[int, int], list[tuple]] = {}
+    for members, kleaves in zip(dec.isotype_members, map(list, rep_leaves)):
+        for k_out in members:
+            block, order, gs = blocks[k_out], perms[k_out], fmaps[k_out]
+            for k_in in members:
+                coords = [blocks[k_in][u] for u in inv_perms[k_in]]
+                hs = [inv_maps[k_in][u] for u in inv_perms[k_in]]
+                options = parts[k_in, k_out] = []
+                for tau, restr in kleaves:
+                    sig = tuple([coords[tau[s]] for s in order])
+                    dicts = []
+                    for t, s in enumerate(order):
+                        g, f, h = gs[t], restr[s], hs[tau[s]]
+                        table = [-1] * q
+                        for a in search.proj_in[sig[t]]:
+                            if h[a] in f:
+                                table[a] = g[f[h[a]]]
+                        dicts.append(search._canonical(sig[t], block[t], table)[1])
+                    options.append(sig + tuple(dicts))
+    return parts
+
+
+def direct_elements(search, dec, rep_leaves) -> list[ElementPair]:
+    """Every automorphism of C as (σ, maps), sorted: each conjugated
+    representative leaf (``conjugated``) with every bijective extension of
+    its restrictions, written into place for every block permutation
+    within each isotype. The oracle for ``isomorphy._explicit_elements``."""
+    blocks = dec.partition.blocks
+    expanded = {}
+    for (k_in, k_out), options in conjugated(search, dec, rep_leaves).items():
+        block, width = blocks[k_out], len(blocks[k_out])
+        expanded[k_in, k_out] = [
+            (option[:width], maps) for option in options
+            for maps in itertools.product(*[search._extensions(i, j, f) for i, j, f in
+                                            zip(option[:width], block, option[width:])])]
+    elements = []
+    for rhos in itertools.product(*[itertools.permutations(m) for m in dec.isotype_members]):
+        source = {k_out: k_in for members, rho in zip(dec.isotype_members, rhos)
+                  for k_out, k_in in zip(members, rho)}
+        for combo in itertools.product(*[expanded[source[k], k] for k in range(len(blocks))]):
+            sigma, maps = [0] * search.n, [()] * search.n
+            for block, (sig, fs) in zip(blocks, combo):
+                for j, i, f in zip(block, sig, fs):
+                    sigma[j], maps[j] = i, f
+            elements.append((tuple(sigma), tuple(maps)))
+    elements.sort()
+    return elements
+
+
+def pair_picks(pairs: Sequence[ElementPair], q: int) -> list[int]:
+    """Greedy generators over the elements (σ, maps), read through the
+    point form of each element (``isometry.pair_points``): the oracle for
+    the picks ``aut_group`` reads off the inverse point forms."""
+    if not pairs:
+        return []
+    return _greedy_picks((pair_points(sigma, maps, q) for sigma, maps in pairs),
+                         q * len(pairs[0][0]), len(pairs))
+
+
+class ElementText(ser._ElementList):
+    """The ``elements`` of an automorphism report, written element by
+    element: each σ and each alphabet map rendered once per report, each
+    element's text joined on its own. The oracle for ``_ElementList``."""
+
+    def text(self, nl: str) -> str:
+        if not self.elements:
+            return "[]"
+        e1 = nl + "  "
+        e2 = e1 + "  "
+        e3 = e2 + "  "
+        e4 = e3 + "  "
+        head = "{" + e2 + '"sigma": '
+        mid = "," + e2 + '"config": [' + e3
+        tail = e2 + "]," + e2 + '"convention": "pull"' + e1 + "}"
+        sep3, sep4 = "," + e3, "," + e4
+        sigmas: dict[tuple[int, ...], str] = {}
+        fs: dict[tuple[int, ...], str] = {}
+        texts = []
+        for perm, maps in self.elements:
+            sigma = sigmas.get(perm)
+            if sigma is None:
+                sigma = sigmas[perm] = "[" + e3 + sep3.join([str(i + 1) for i in perm]) + e2 + "]"
+            for f in maps:
+                if f not in fs:
+                    fs[f] = "[" + e4 + sep4.join(map(str, f)) + e3 + "]"
+            texts.append(head + sigma + mid + sep3.join(map(fs.__getitem__, maps)) + tail)
+        return "[" + e1 + ("," + e1).join(texts) + nl + "]"
+
+
+def element_report_text(r: AutGroupReport) -> str:
+    """The ``aut`` report as ``serialize.aut_report_dumps`` writes it, its
+    elements through ``ElementText``."""
+    doc: dict = {"order": r.order,
+                 "generators": [ser.gc_witness_to_json(g) for g in r.generators],
+                 "complete": r.complete,
+                 "elements": None if r.element_pairs is None else ElementText(r.element_pairs)}
+    if r.structure is not None:
+        doc["structure"] = [{"isotype": i, "component_aut_order": o, "alpha": a}
+                            for i, o, a in r.structure]
+    return ser.dumps(doc)
 
 
 def coordinate_projections(C: Code) -> tuple[tuple[int, ...], ...]:

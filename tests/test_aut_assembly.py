@@ -1,26 +1,28 @@
 """Differential tests of the automorphism group built from coset
 searches (``_IsoSearch.run(cosets=True)``) and the decomposition
-(``isomorphy._aut_leaves``, ``_assemble``, ``_direct_elements``) against
+(``isomorphy._aut_leaves``, ``_assemble``, ``_explicit_elements``) against
 the find-all search over the whole code (``oracles.find_all_leaves``),
-its oracle."""
+its oracle, and of the explicit group against the element by element
+route (``oracles.direct_elements``, ``pair_picks``, ``ElementText``)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, reject, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes import serialize as ser
 from groupcodes.catalog import binary_repetition, hamming_7_4_code
-from groupcodes.errors import PreconditionError, ResourceLimitError
-from groupcodes.isometry import pair_points, to_points
-from groupcodes.isomorphy import (_assemble, _aut_leaves, _direct_elements, _greedy_picks,
-                                  _IsoSearch, _one_block)
-from oracles import (aut_group_from_leaves, aut_report_to_json, find_all_leaves, leaf_maps,
-                     mul_closure)
+from groupcodes.errors import PreconditionError, ResourceLimitError, TheoremViolationError
+from groupcodes.isometry import Isometry, pair_points, to_points
+from groupcodes.isomorphy import (GroupCodeIso, _assemble, _aut_leaves, _conjugated,
+                                  _explicit_elements, _greedy_picks, _IsoSearch, _one_block)
+from oracles import (aut_group_from_leaves, aut_report_to_json, direct_elements,
+                     element_report_text, find_all_leaves, leaf_maps, mul_closure, pair_picks)
 
 S3 = ser.alphabet_from_json({"kind": "table", "label": "S3", "table": [
     [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
@@ -31,24 +33,26 @@ ALPHABETS = [(gc.cyclic_group(2), 6), (gc.cyclic_group(3), 5), (gc.cyclic_group(
 
 
 @st.composite
-def parts(draw, G, n):
+def parts(draw, G, n, halves=False):
     """A small group code of length n, the trivial code (a zero coordinate)
-    one time in four."""
+    one time in four; with ``halves``, a Z/4 part is drawn over the
+    subgroup {0, 2} one time in three."""
     if draw(st.integers(0, 3)) == 0:
         return gc.GroupCode.from_words(G, n, [(G.identity,) * n])
-    words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+    step = 2 if halves and G.label == "Z/4" and draw(st.integers(0, 2)) == 0 else 1
+    words = st.tuples(*[st.integers(0, G.order // step - 1).map(step.__mul__)] * n)
     return gc.generate_group_code(G, n, draw(st.lists(words, min_size=1, max_size=2)))
 
 
 @st.composite
-def scrambled_sums(draw):
+def scrambled_sums(draw, alphabets=ALPHABETS, halves=False):
     """A direct sum with repeated parts, its coordinates permuted and each
     relabelled by an automorphism of the alphabet."""
-    G, budget = draw(st.sampled_from(ALPHABETS))
+    G, budget = draw(st.sampled_from(alphabets))
     summands = []
     while budget > 0 and len(summands) < 4:
         n = draw(st.integers(1, min(2, budget)))
-        part = draw(parts(G, n))
+        part = draw(parts(G, n, halves))
         copies = draw(st.integers(1, budget // n))
         summands += [part] * copies
         budget -= n * copies
@@ -84,11 +88,11 @@ def report_text(report) -> str:
 def aut_parts(C, dec):
     """As ``aut_group`` runs them: C's decomposition (C as one block when
     it is indecomposable), the search over C, the representatives' leaves
-    and the structure rows."""
+    in DFS order and the structure rows."""
     if dec.indecomposable:
         dec = _one_block(C)
-    search, rep_leaves, rows, _ = _aut_leaves(C, dec, max_nodes=10**6)
-    return dec, search, list(map(list, rep_leaves)), rows
+    search, searched, rows, _ = _aut_leaves(C, dec, max_nodes=10**6)
+    return dec, search, [list(ks.dfs_leaves(*coset)) for ks, *coset in searched], rows
 
 
 def expansion(search, leaves):
@@ -110,7 +114,7 @@ def test_coset_search_finds_the_find_all_leaves_within_its_nodes(C):
     assert len(leaves) == math.prod(1 + len(reps) for reps in found)
     assert objects(leaves) == objects(expected)  # same list, order and dict objects
     if len(expected) * search.extension_count() <= 10**4:
-        assert _direct_elements(search, _one_block(C), [leaves]) == expansion(search, expected)
+        assert _explicit_elements(search, _one_block(C), [leaves]) == expansion(search, expected)
 
 
 def test_coset_search_of_the_hamming_code():
@@ -124,16 +128,38 @@ def test_coset_search_of_the_hamming_code():
     assert objects(search.dfs_leaves(identity, found)) == objects(expected)
 
 
+# The whole-code find-all search of the next test runs within this many
+# nodes. It visits every leaf of C, and on these sums rarely more than
+# three nodes per leaf, so its strategy keeps the codes with at most a
+# quarter of the budget in leaves, counted by the coset searches first.
+# Unbounded, a drawn full space S3^4 (31,104 leaves, 36,745 nodes over
+# 1,296 words) took 14 s of one example.
+NODE_BUDGET = 20_000
+
+
+def leaf_count(C) -> int:
+    """The number of leaves of C's find-all search, from the coset searches."""
+    dec = gc.decompose(C)
+    return _aut_leaves(C, _one_block(C) if dec.indecomposable else dec, max_nodes=10**6)[3]
+
+
 @settings(max_examples=120, deadline=None)
-@given(scrambled_sums(), st.sampled_from([1, 50, 10**4]))
+@given(scrambled_sums().filter(lambda C: leaf_count(C) <= NODE_BUDGET // 4),
+       st.sampled_from([1, 50, 10**4]))
 def test_assembled_leaves_and_reports_match_the_whole_code_search(C, explicit_cap):
     dec = gc.decompose(C)
     parts, search, rep_leaves, rows = aut_parts(C, dec)
     leaves = _assemble(search, parts, rep_leaves)
-    expected = find_all_leaves(search)
+    before = search.nodes  # a one-block C ran its coset search on it
+    search.max_nodes = before + NODE_BUDGET
+    try:
+        expected = find_all_leaves(search)
+    except ResourceLimitError:
+        reject()
+    event(f"find-all nodes < {10 ** len(str(search.nodes - before))}")
     assert objects(leaves) == objects(expected)  # same list, order and dict objects
     if len(expected) * search.extension_count() <= 10**4:
-        assert _direct_elements(search, parts, rep_leaves) == expansion(search, expected)
+        assert _explicit_elements(search, parts, rep_leaves) == expansion(search, expected)
     report = gc.aut_group(C, explicit_cap=explicit_cap)
     oracle = aut_group_from_leaves(search, expected, explicit_cap=explicit_cap)
     assert report_text(report) == report_text(oracle)
@@ -149,6 +175,115 @@ def test_assembled_leaves_and_reports_match_the_whole_code_search(C, explicit_ca
         ksearch = _IsoSearch(K, K, group_mode=True)
         assert structured.structure[t] == (
             t, len(find_all_leaves(ksearch)) * ksearch.extension_count(), alpha)
+
+
+# the explicit group against the element by element route ---------------
+
+Z4 = ALPHABETS[2][0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_sums(ALPHABETS[:4], halves=True), st.booleans())
+def test_explicit_group_matches_the_element_by_element_route(C, with_structure):
+    dec = gc.decompose(C)
+    report = gc.aut_group(C, dec if with_structure else None)
+    assume(report.element_pairs is not None)
+    event(f"blocks: {len(dec.partition.blocks)}, "
+          f"alpha up to {max(alpha for _, alpha in dec.isotypes)}")
+    parts, search, rep_leaves, _ = aut_parts(C, dec)
+    elements = direct_elements(search, parts, rep_leaves)
+    assert list(report.element_pairs) == elements
+    picks = pair_picks(elements, C.alphabet.order)
+    generators = tuple(GroupCodeIso(Isometry._build(elements[k][1], elements[k][0]), C, C)
+                       for k in picks)
+    assert report.generators == generators
+    oracle = dataclasses.replace(report, generators=generators, element_pairs=tuple(elements))
+    assert ser.aut_report_dumps(report) == element_report_text(oracle)
+    # a representative witness other than the identity is conjugated, and
+    # gives the same group
+    twisted = twist(dec)
+    if twisted is not None:
+        event("twisted witness")
+        assert ser.aut_report_dumps(gc.aut_group(C, twisted)) == ser.aut_report_dumps(
+            gc.aut_group(C, dec))
+
+
+def twist(dec):
+    """The decomposition with each representative's witness replaced by a
+    non-identity automorphism of the representative, or None if none has one."""
+    witnesses = list(dec.isotype_witnesses)
+    for rep, _ in dec.isotypes:
+        K = dec.components[rep]
+        gens = gc.aut_group(K).generators
+        if gens:
+            witnesses[rep] = gens[-1].iso
+    if witnesses == list(dec.isotype_witnesses):
+        return None
+    return dataclasses.replace(dec, isotype_witnesses=tuple(witnesses))
+
+
+def canonical_calls(monkeypatch) -> list:
+    """Log each call of ``_IsoSearch._canonical``."""
+    calls = []
+    original = _IsoSearch._canonical
+    monkeypatch.setattr(_IsoSearch, "_canonical",
+                        lambda self, *args: calls.append(args) or original(self, *args))
+    return calls
+
+
+# rep(Z/4, 2) twice: α = 2, every witness of decompose the identity
+REP_Z4 = gc.GroupCode.from_words(Z4, 2, [(a, a) for a in range(4)])
+
+
+def with_witness(dec, maps):
+    """The decomposition with the first block's witness set to the isometry
+    with these maps and the identity coordinate permutation."""
+    w = gc.Isometry(gc.Configuration(maps), gc.Equivalence((0, 1)))
+    return dataclasses.replace(dec, isotype_witnesses=(w,) + dec.isotype_witnesses[1:])
+
+
+def test_blocks_with_the_identity_witness_are_not_conjugated(monkeypatch):
+    C = gc.direct_sum(REP_Z4, REP_Z4)
+    dec = gc.decompose(C)
+    assert dec.isotype_members == ((0, 1),)
+    parts, search, rep_leaves, _ = aut_parts(C, dec)
+    calls = canonical_calls(monkeypatch)
+    plain = _conjugated(search, parts, rep_leaves, keyed=False)
+    assert calls == []
+    # the same leaves, dicts and all, as conjugated by the identity
+    keyed = _conjugated(search, parts, rep_leaves, keyed=True)
+    assert calls
+    assert {k: objects([(o[:2], o[2:4]) for o in options]) for k, options in keyed.items()} == {
+        k: objects([(o[:2], o[2:]) for o in options]) for k, options in plain.items()}
+    # an automorphism of rep(Z/4, 2) as the representative's witness is
+    # conjugated, and gives the same group
+    calls.clear()
+    twisted = with_witness(dec, ((0, 3, 2, 1), (0, 3, 2, 1)))
+    _conjugated(search, twisted, rep_leaves, keyed=False)
+    assert calls
+    monkeypatch.undo()
+    assert ser.aut_report_dumps(gc.aut_group(C, twisted)) == ser.aut_report_dumps(
+        gc.aut_group(C, dec))
+
+
+def test_wrong_witnesses_raise():
+    # swapping 1 and 2 is no automorphism of Z/4: it conjugates x -> 3x
+    # into a map that sends 2 to 3, no candidate restriction
+    C = gc.direct_sum(REP_Z4, REP_Z4)
+    wrong = with_witness(gc.decompose(C), ((0, 2, 1, 3), (0, 2, 1, 3)))
+    with pytest.raises(TheoremViolationError, match="assembly is buggy"):
+        gc.aut_group(C, wrong)
+    # over V4, {00, 11} and {00, 22} are one isotype, by relabelling 1 and
+    # 2; given the identity as the second block's witness, that block has
+    # other words than the representative, so it is conjugated, and no
+    # restriction maps {0, 2} onto {0, 1}
+    V4 = ALPHABETS[3][0]
+    C = gc.direct_sum(*[gc.GroupCode.from_words(V4, 2, [(0, 0), (a, a)]) for a in (1, 2)])
+    dec = gc.decompose(C)
+    assert dec.isotype_members == ((0, 1),)
+    wrong = dataclasses.replace(dec, isotype_witnesses=(dec.isotype_witnesses[0],) * 2)
+    with pytest.raises(TheoremViolationError, match="assembly is buggy"):
+        gc.aut_group(C, wrong)
 
 
 S3_DIAG2 = [(a, a) for a in range(6)]
@@ -174,7 +309,7 @@ def test_s3_sums_match_the_whole_code_search(words):
     leaves = _assemble(search, parts, rep_leaves)
     expected = find_all_leaves(search)
     assert objects(leaves) == objects(expected)
-    assert _direct_elements(search, parts, rep_leaves) == expansion(search, expected)
+    assert _explicit_elements(search, parts, rep_leaves) == expansion(search, expected)
 
 
 def d_sum(code_d, copies):
@@ -248,6 +383,23 @@ def test_whole_code_cap_drops_the_identity(code_d):
     assert "the whole code" in str(err.value)
     partial = [w.iso for w in err.value.partial_generators]
     assert len(partial) == 2 and gc.identity_isometry(2, 3) not in partial
+
+
+@pytest.mark.parametrize("explicit_cap,ordered", [(1, True), (10**4, False)])
+def test_only_the_large_path_reads_the_leaves_in_dfs_order(code_d, monkeypatch,
+                                                           explicit_cap, ordered):
+    # one block's leaves go to the greedy generators as they come; a listed
+    # group is sorted at the end
+    asked = []
+    original = _IsoSearch.dfs_leaves
+
+    def spy(self, identity, found, *, ordered=True):
+        asked.append(ordered)
+        return original(self, identity, found, ordered=ordered)
+
+    monkeypatch.setattr(_IsoSearch, "dfs_leaves", spy)
+    gc.aut_group(code_d, explicit_cap=explicit_cap)
+    assert asked == [ordered]
 
 
 def test_partition_cap_falls_back_to_the_whole_code_search(code_d):

@@ -327,14 +327,23 @@ PLAIN_DOC = {"alphabet": {"kind": "cyclic", "modulus": 4}, "length": 3,
     ("plain", False, 1),   # parameters, classify, certificates and decompose share one
     ("plain", True, 2),    # the covering oracle scans on its own
     ("d", False, 0),       # a group code reads its weight distribution
-    ("d", True, 2),        # so do the covering and the weight-scan oracles
+    ("d", True, 1),        # the covering and the weight-scan oracles share one
 ])
 def test_analyze_scans_the_distance_once_per_code(files, tmp_path, capsys, monkeypatch,
                                                   name, oracle, scans):
-    from groupcodes import codes
     path = tmp_path / "plain.json"
     path.write_text(json.dumps(PLAIN_DOC), encoding="utf-8")
     files = {**files, "plain": str(path)}
+    calls = counted_scans(monkeypatch)
+    code, doc = run_json(capsys, ["analyze", files[name]] + ["--oracle"] * oracle)
+    assert code == 0
+    assert len(doc["decomposition"]["blocks"]) == 1
+    assert len(calls) == scans
+
+
+def counted_scans(monkeypatch) -> list:
+    """Patch every ``min_distance`` of the package to log the words it scans."""
+    from groupcodes import codes
     calls = []
     original = codes.min_distance
 
@@ -345,10 +354,20 @@ def test_analyze_scans_the_distance_once_per_code(files, tmp_path, capsys, monke
     for mod in [m for key, m in sys.modules.items() if key.startswith("groupcodes")]:
         if getattr(mod, "min_distance", None) is original:
             monkeypatch.setattr(mod, "min_distance", counted)
-    code, doc = run_json(capsys, ["analyze", files[name]] + ["--oracle"] * oracle)
+    return calls
+
+
+def test_equal_components_share_one_distance_scan(tmp_path, capsys, monkeypatch):
+    # D ⊕ D as a plain code: the sum and D are the only word sets scanned
+    words = [x + y for x in D_DOC["codewords"] for y in D_DOC["codewords"]]
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps({"alphabet": D_DOC["alphabet"], "length": 6,
+                                "codewords": words}), encoding="utf-8")
+    calls = counted_scans(monkeypatch)
+    code, doc = run_json(capsys, ["analyze", str(path)])
     assert code == 0
-    assert len(doc["decomposition"]["blocks"]) == 1
-    assert len(calls) == scans
+    assert doc["decomposition"]["blocks"] == [[1, 2, 3], [4, 5, 6]]
+    assert len(calls) == len(set(calls)) == 2
 
 
 @pytest.mark.parametrize("exc", [KeyError("boom"), RecursionError("deep")])
