@@ -5,7 +5,8 @@ A code splits along a coordinate bipartition (J, K) exactly when
 containing coordinate 0 in (size, lex) order, so the returned witness and
 the recursive decomposition are canonical and reproducible. Constant
 coordinates always split off, so they are peeled first to shrink the
-exponential subset search.
+exponential subset search; in a group code, so are the free coordinates,
+each of which splits off alone (``free_coordinates``).
 """
 
 from __future__ import annotations
@@ -148,6 +149,19 @@ def is_decomposable(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     return _canonical_split(C, _ProjCounter(C))
 
 
+def free_coordinates(C: GroupCode) -> tuple[int, ...]:
+    """The coordinates i along which C splits off alone, C = pi_i(C) ⊕
+    pi_(N∖i)(C): those where the codewords that are the identity off i,
+    the kernel of pi_(N∖i), number |pi_i(C)|. Constant coordinates are
+    the case |pi_i(C)| = 1. One pass over the words."""
+    e, n = C.alphabet.identity, C.length
+    kernel = [1] * n  # the identity word
+    for w in C.words:
+        if w.count(e) == n - 1:
+            kernel[next(i for i, s in enumerate(w) if s != e)] += 1
+    return tuple(i for i, h in enumerate(C.coordinate_projections) if len(h) == kernel[i])
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint coordinate blocks covering 0..n-1, ordered by first element."""
@@ -226,12 +240,15 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
         if len(indices) == 1:
             leaves.append((indices, code))
             return
-        _, constant_pos = is_degenerate(code)
-        if constant_pos:
-            for p in constant_pos:
+        if isinstance(code, GroupCode):
+            alone = free_coordinates(code)
+        else:
+            _, alone = is_degenerate(code)
+        if alone:
+            for p in alone:
                 rec((indices[p],), projection(code, (p,)))
-            constant = set(constant_pos)
-            keep = [p for p in range(code.length) if p not in constant]
+            peeled = set(alone)
+            keep = [p for p in range(code.length) if p not in peeled]
             if keep:
                 rec(tuple(indices[p] for p in keep), projection(code, keep))
             return

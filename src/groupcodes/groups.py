@@ -6,7 +6,7 @@ Groups are validated eagerly at construction and immutable afterwards.
 
 Every subgroup computation of the package goes through two routines here:
 ``CosetClosure``, the one closure under generators (Dimino's algorithm),
-for elements of G, words of G^n and point forms of isometries alike; and
+for elements of G and words of G^n alike; and
 ``subgroup_isomorphisms``, the one homomorphism backtracker, which
 ``automorphisms`` calls with H = K = G.
 """
@@ -198,10 +198,11 @@ class CosetClosure:
     with an ``identity`` and a right multiplication: ``right_mul(t)`` is the
     map x -> x·t, such as a table column for elements of G
     (``element_closure``), one column per coordinate for words of G^n
-    (``word_closure``), or ``itemgetter(*t)`` for permutations of points
-    (``isomorphy._greedy_picks``). A generator outside the current
-    subgroup H extends it by the right cosets H·t, where t = r·s runs over
-    coset representatives r times generators s, so every new element is
+    (``word_closure``), or ``itemgetter(*t)`` for permutations of points,
+    as in the closure greedy that the tests keep as the oracle of
+    ``isomorphy._chain_picks``. A generator outside the current subgroup H
+    extends it by the right cosets H·t, where t = r·s runs over coset
+    representatives r times generators s, so every new element is
     multiplied out exactly once. Growth stops as soon as the closure holds
     more than ``limit`` elements.
     """

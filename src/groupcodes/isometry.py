@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem, itemgetter
 from typing import Iterator, Sequence
 
 from .codes import Code, Word, hamming_distance
@@ -122,8 +123,7 @@ class Isometry:
 
 
 def identity_isometry(q: int, n: int) -> Isometry:
-    ident = tuple(range(q))
-    return Isometry(Configuration((ident,) * n), Equivalence(tuple(range(n))))
+    return Isometry._build((tuple(range(q)),) * n, tuple(range(n)))
 
 
 def from_permutation(perm: Sequence[int], q: int, *, push: bool = False) -> Isometry:
@@ -216,8 +216,14 @@ def apply_to_code(iso: Isometry, C: Code) -> Code:
         if len(f) != C.alphabet.order:
             raise IncompatibleError(
                 f"configuration alphabet size {len(f)}, code alphabet {C.alphabet.order}")
-    words = tuple(sorted(iso.apply(w) for w in C.words))
-    return Code._build(C.alphabet, C.length, words)
+    perm, maps = iso.equiv.perm, iso.config.maps
+    # one itemgetter pulls a word; it returns a lone coordinate bare
+    words = list(map(itemgetter(*perm), C.words)) if C.length > 1 else list(C.words)
+    ident = tuple(range(C.alphabet.order))
+    if any(f != ident for f in maps):
+        words = [tuple(map(getitem, maps, w)) for w in words]
+    words.sort()
+    return Code._build(C.alphabet, C.length, tuple(words))
 
 
 def isometry_group_order(q: int, n: int) -> int:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from .codes import Code, GroupCode, Word, direct_sum_all, word_mul
 from .errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                      TheoremViolationError)
-from .groups import CosetClosure, subgroup_isomorphisms, word_closure
+from .groups import subgroup_isomorphisms, word_closure
 from .isometry import Isometry, identity_isometry
 from .phases import Phases
 
@@ -297,8 +298,7 @@ class _IsoSearch:
         sigma, restr, used = self.sigma, self.restr, self.used
         # walk the identity path: its restrictions, and the probe images
         # at each of its nodes
-        idents = [next(f for f, table in self._candidate_maps(j, j)
-                       if all(table[a] == a for a in self.proj_in[j])) for j in range(n)]
+        idents = [self._identity_restriction(j) for j in range(n)]
         images = [[0] * len(self.probes)]
         for j in range(n):
             self._count_node()
@@ -322,6 +322,16 @@ class _IsoSearch:
                     self.found.append(leaf)
         return identity, found
 
+    def _identity_restriction(self, j: int) -> dict[int, int]:
+        """The identity pi_j(C) -> pi_j(D), for D = C: first in
+        ``_candidate_maps(j, j)``, which is sorted by images."""
+        f, table = self._candidate_maps(j, j)[0]
+        if any(table[a] != a for a in self.proj_in[j]):
+            raise TheoremViolationError(
+                f"the first candidate restriction of coordinate {j} onto itself "
+                f"is not the identity; the candidate lists are misordered")
+        return f
+
     def _canonical(self, i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
         """The position and the dict of the restriction pi_i(C) -> pi_j(D)
         given as a lookup list in ``_candidate_maps(i, j)``; a map missing
@@ -340,38 +350,37 @@ class _IsoSearch:
         return hit
 
     def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]], *,
-                   ordered: bool = True) -> Iterator[Leaf]:
-        """Every leaf of Aut(C) from the coset search, lazily, in the
-        find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1),
-        k_1, ...) with k_j the position of restriction j in
-        ``_candidate_maps(σ(j), j)``; in no fixed order when not ``ordered``.
+                   ordered: bool = True) -> list[Leaf]:
+        """Every leaf of Aut(C) from the coset search, in the find-all
+        search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1, ...)
+        with k_j the position of restriction j in ``_candidate_maps(σ(j),
+        j)``; in no fixed order when not ``ordered``.
 
         With T_j the identity and the leaves found at depth j, a leaf
         factors uniquely as t_(n-1)∘...∘t_0 with t_j in T_j, and its entry
         j is that of x_j = t_j∘...∘t_0, since t_(n-1)∘...∘t_(j+1) fixes
-        coordinates 0..j. So the products x_j are ordered, level by level,
-        by their entry j: one composition per node of this coset tree."""
+        coordinates 0..j. So the products x_j are built level by level, one
+        composition per node of this coset tree, the children of each
+        parent ordered by their entry j and kept together."""
         # restrictions go by the ids of their dicts, each known with its
         # position in its candidate list; candidate lists hold every dict,
         # so the ids stay unique
         known = {id(f): (f, k) for cands in self._map_cache.values()
                  for k, (f, _) in enumerate(cands)}
-        n = self.n
-        # None stands for the identity
-        levels = [[None] + [(sigma, tuple(map(id, restr))) for sigma, restr in reps]
-                  for reps in found]
-
-        def below(j: int, x: tuple) -> Iterator[Leaf]:
-            if j == n:
-                yield x[0], tuple([known[a][0] for a in x[1]])
-                return
-            products = [x if t is None else self._times(t, x, known) for t in levels[j]]
-            if ordered:
-                products.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
-            for y in products:
-                yield from below(j + 1, y)
-
-        return below(0, (identity[0], tuple(map(id, identity[1]))))
+        times = self._times
+        current = [(identity[0], tuple(map(id, identity[1])))]
+        for j, reps in enumerate(found):
+            level = [(sigma, tuple(map(id, restr))) for sigma, restr in reps]
+            if not level:
+                continue
+            products: list[tuple] = []
+            for x in current:
+                children = [x] + [times(t, x, known) for t in level]
+                if ordered:
+                    children.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
+                products += children
+            current = products
+        return [(sigma, tuple([known[a][0] for a in restr])) for sigma, restr in current]
 
     def _times(self, h: tuple, g: tuple, known: dict[int, tuple[dict[int, int], int]]) -> tuple:
         """h∘g (g applied first) for leaves with restrictions as ids, for
@@ -510,14 +519,81 @@ class AutGroupReport:
         return tuple([Isometry._build(maps, sigma) for sigma, maps in self.element_pairs])
 
 
-def _greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> list[int]:
-    """Greedy generators over all ``size`` elements of a group of
-    permutations of ``degree`` points, composed as P_a∘P_b =
-    ``itemgetter(*b)(a)`` (bare on one point, where none is added): the index
-    of each element not generated by the ones taken before it, read lazily
-    and only until the group is generated."""
-    closure = CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t))
-    return closure.greedy(points, size)
+def _chain_picks(items: Sequence, identity: object, keys: Sequence[Callable],
+                 acts: Sequence[Callable], order: int) -> list[int]:
+    """The greedy generators of a group listed in ``items``: the position
+    of each element not generated by the ones taken before it, in list
+    order, found by a walk down the stabilizer chain of that order, with
+    no closure of the group.
+
+    ``items`` is sorted by the key of ``keys``: ``keys[p](x)`` is x's entry
+    at position p, and the identity is the first element and the least
+    entry at every position among the elements that agree with it before
+    that position. So G_p, the elements that agree with the identity on
+    positions < p, is a subgroup and a prefix of ``items``, and the greedy
+    reads G_(p+1) before G_p, having generated all of G_(p+1) when it gets
+    there. The entry at p of x∘g is ``acts[p](g, entry of x)``, so the
+    elements of G_p with one entry at p form one coset of G_(p+1), and x in
+    G_p is generated exactly when its entry lies in the orbit of the
+    identity's under the elements taken. The walk goes from the last
+    position to the first; at each it takes the first element of each run
+    of equal entries outside the orbit, until the orbit has |G_p| /
+    |G_(p+1)| points."""
+    if not items or items[0] != identity:
+        raise TheoremViolationError("the first listed automorphism is not the identity")
+    if len(items) != order:
+        raise TheoremViolationError(
+            f"{len(items)} automorphisms listed for a group of order {order}")
+    base = [key(identity) for key in keys]
+    # ends[p] = |G_p|: G_(p+1) is the run of G_p with the identity's entry at p
+    ends = [order]
+    for key, b in zip(keys, base):
+        ends.append(bisect_right(items, b, 0, ends[-1], key=key))
+    if ends[-1] != 1:
+        raise TheoremViolationError("two listed automorphisms have the same entries")
+    picks: list[int] = []
+    taken: list = []
+    for p in reversed(range(len(keys))):
+        top, end = ends[p + 1], ends[p]
+        index, rest = divmod(end, top)
+        if rest:
+            raise TheoremViolationError(
+                f"the stabilizer at position {p} has {top} elements, "
+                f"which do not divide the {end} elements above it")
+        key, act = keys[p], acts[p]
+        orbit, seen = [base[p]], {base[p]}
+        start = top
+        while len(orbit) < index:
+            if start == end:
+                raise TheoremViolationError(
+                    f"the orbit at position {p} has {len(orbit)} of {index} points "
+                    f"after its elements; the automorphism listing is buggy")
+            x = items[start]
+            v = key(x)
+            if v not in seen:
+                picks.append(start)
+                taken.append(x)
+                # the orbit again, under every element taken
+                orbit, seen = [base[p]], {base[p]}
+                for u in orbit:
+                    for w in map(act, taken, [u] * len(taken)):
+                        if w not in seen:
+                            seen.add(w)
+                            orbit.append(w)
+            start = bisect_right(items, v, start, end, key=key)
+    return picks
+
+
+def _pair_keys(n: int) -> tuple[list[Callable], list[Callable]]:
+    """The keys and actions of ``_chain_picks`` for automorphisms as (σ,
+    maps) pairs, sorted as tuples: positions σ(0)..σ(n-1), then
+    f_0..f_(n-1). Entry σ(p) of x∘g is σ_g(σ_x(p)); an x with σ = id has
+    f_j^x∘f_j^g as entry f_j of x∘g."""
+    keys = ([lambda x, p=p: x[0][p] for p in range(n)]
+            + [lambda x, j=j: x[1][j] for j in range(n)])
+    acts = ([lambda g, t: g[0][t]] * n
+            + [lambda g, f, j=j: tuple(map(f.__getitem__, g[1][j])) for j in range(n)])
+    return keys, acts
 
 
 def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
@@ -570,13 +646,12 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
         with phases("elements"):
             pairs = tuple(_explicit_elements(search, dec, rep_leaves))
         with phases("generators"):
-            # x is in <S> exactly when x^-1 is, so the inverse point forms
-            # give the same picks
-            picks = _greedy_picks(map(_InversePoints(), pairs), q * n, order)
+            identity = (tuple(range(n)), (tuple(range(q)),) * n)
+            picks = _chain_picks(pairs, identity, *_pair_keys(n), order)
             gen_isos = tuple(Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
     else:
         with phases("generators"):
-            gen_isos = _large_order_generators(search, _assemble(search, dec, rep_leaves))
+            gen_isos = _large_order_generators(search, _assemble(search, dec, rep_leaves), count)
     generators = tuple(GroupCodeIso(g, C, C) for g in gen_isos)
 
     structure: tuple[tuple[int, int, int], ...] | None = None
@@ -807,22 +882,6 @@ def _explicit_elements(search: _IsoSearch, dec: "Decomposition",
     return elements
 
 
-class _InversePoints(dict):
-    """The point form of the inverse of f∘σ̄, called with (σ, maps): it
-    sends (j, t) to (σ(j), f_j^-1(t)), so entry j·q + t is σ(j)·q +
-    f_j^-1(t), with no inverse of σ to build. The q entries of output
-    coordinate j are kept per (σ(j), f_j), built on first use."""
-
-    def __call__(self, pair: ElementPair) -> tuple[int, ...]:
-        return tuple(itertools.chain.from_iterable(map(self.__getitem__, zip(*pair))))
-
-    def __missing__(self, key: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
-        i, f = key
-        q = len(f)
-        run = self[key] = tuple([i * q + s for s in sorted(range(q), key=f.__getitem__)])
-        return run
-
-
 def _lifted(search: _IsoSearch, dec: "Decomposition",
             rep_leaves: Sequence[Sequence[Leaf]]) -> list[Leaf]:
     """Leaves of the representatives, as leaves of C that act on the
@@ -854,31 +913,37 @@ def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLim
         partial_generators=_witnesses(search, found), incomplete=True)
 
 
-def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf]) -> tuple[Isometry, ...]:
-    """Generators when the group is too large to materialize.
+def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],
+                            count: int) -> tuple[Isometry, ...]:
+    """Generators when the group is too large to materialize, from its
+    ``count`` leaves in the find-all search's DFS order.
 
     Every automorphism permutes the points (i, a) with a in pi_i(C); the
     kernel is N = prod_j Sym(complement of pi_j(C)), the extension-only
     automorphisms, and the leaves, one per coset of N, act as the quotient.
-    Greedy generators of that action, as canonical leaf witnesses, plus
+    Greedy generators of that action (``_chain_picks``, by the entries
+    σ(j)·q! + k_j that order the leaves), as canonical leaf witnesses, plus
     two-element generator sets of each symmetric factor generate the group.
     """
     q, n = search.q, search.n
-    # the number of point (i, a), a in pi_i(C), indexed by i·q + a
-    number = [0] * (q * n)
-    for k, p in enumerate(i * q + a for i, dom in enumerate(search.proj_in) for a in dom):
-        number[p] = k
-    inv = [0] * n
+    span = math.factorial(q)  # more candidate maps than any list holds
+    position = {id(f): k for cands in search._maps_by_projections.values()
+                for k, (f, _) in enumerate(cands)}
+    identity = (tuple(range(n)), tuple(map(search._identity_restriction, range(n))))
 
-    def action(leaf: Leaf) -> tuple[int, ...]:
-        # (σ(j), a) goes to (j, f_j(a))
-        sigma, restr = leaf
-        for j, i in enumerate(sigma):
-            inv[i] = j
-        return tuple([number[inv[i] * q + restr[inv[i]][a]]
-                      for i, dom in enumerate(search.proj_in) for a in dom])
+    def act(g: Leaf, entry: int, j: int) -> int:
+        # entry (t, f) of x at j goes to (σ_g(t), f∘g_t) in x∘g
+        t, k = divmod(entry, span)
+        i, r = g[0][t], g[1][t]
+        f = search._candidate_maps(t, j)[k][1]
+        table = [-1] * q
+        for a in search.proj_in[i]:
+            table[a] = f[r[a]]
+        return i * span + search._canonical(i, j, table)[0]
 
-    picks = _greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), len(leaves))
+    keys = [lambda leaf, j=j: leaf[0][j] * span + position[id(leaf[1][j])] for j in range(n)]
+    picks = _chain_picks(leaves, identity, keys,
+                         [lambda g, v, j=j: act(g, v, j) for j in range(n)], count)
     ident = tuple(range(q))
     normal_gens: list[Isometry] = []
     for j in range(n):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from groupcodes import serialize as ser
 from groupcodes.classify import (constant_weight_group, is_degenerate, is_mds, is_perfect,
@@ -18,8 +18,9 @@ from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLim
                                TheoremViolationError)
 from groupcodes.isometry import (Configuration, Equivalence, Isometry, compose, pair_points,
                                  to_points)
-from groupcodes.isomorphy import (AutGroupReport, ElementPair, GroupCodeIso, _greedy_picks,
-                                  _large_order_generators, gc_isomorphic)
+from groupcodes.groups import CosetClosure
+from groupcodes.isomorphy import (AutGroupReport, ElementPair, GroupCodeIso, Leaf,
+                                  _symmetric_generators, gc_isomorphic)
 
 
 def mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
@@ -41,13 +42,70 @@ def mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isom
     return closed
 
 
+def greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> list[int]:
+    """Greedy generators over all ``size`` elements of a group of
+    permutations of ``degree`` points, composed as P_a∘P_b =
+    ``itemgetter(*b)(a)`` (bare on one point, where none is added): the index
+    of each element not generated by the ones taken before it, read lazily
+    and only until the group is generated. The closure route that
+    ``isomorphy._chain_picks`` replaced."""
+    closure = CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t))
+    return closure.greedy(points, size)
+
+
+def inverse_points(pair: ElementPair) -> tuple[int, ...]:
+    """The point form of the inverse of f∘σ̄, given as (σ, maps): it sends
+    (j, t) to (σ(j), f_j^-1(t)), so entry j·q + t is σ(j)·q + f_j^-1(t)."""
+    sigma, maps = pair
+    q = len(maps[0])
+    return tuple([i * q + s for i, f in zip(sigma, maps)
+                  for s in sorted(range(q), key=f.__getitem__)])
+
+
+def large_order_generators(search, leaves: Sequence[Leaf]) -> tuple[Isometry, ...]:
+    """Generators of a group too large to list, from its leaves in DFS
+    order: greedy generators of the leaves' action on the points (i, a), a
+    in pi_i(C), closed by ``greedy_picks``, as canonical leaf witnesses,
+    plus two-element generator sets of each symmetric factor of the kernel.
+    The closure route of ``isomorphy._large_order_generators``."""
+    q, n = search.q, search.n
+    # the number of point (i, a), a in pi_i(C), indexed by i·q + a
+    number = [0] * (q * n)
+    for k, p in enumerate(i * q + a for i, dom in enumerate(search.proj_in) for a in dom):
+        number[p] = k
+    inv = [0] * n
+
+    def action(leaf: Leaf) -> tuple[int, ...]:
+        # (σ(j), a) goes to (j, f_j(a))
+        sigma, restr = leaf
+        for j, i in enumerate(sigma):
+            inv[i] = j
+        return tuple([number[inv[i] * q + restr[inv[i]][a]]
+                      for i, dom in enumerate(search.proj_in) for a in dom])
+
+    picks = greedy_picks(map(action, leaves), sum(map(len, search.proj_in)), len(leaves))
+    ident = tuple(range(q))
+    normal_gens: list[Isometry] = []
+    for j in range(n):
+        comp = search.comp_in[j]
+        if len(comp) >= 2:
+            for cycle in _symmetric_generators(comp):
+                maps = [ident] * n
+                f = list(range(q))
+                for a, b in cycle.items():
+                    f[a] = b
+                maps[j] = tuple(f)
+                normal_gens.append(Isometry._build(tuple(maps), tuple(range(n))))
+    return tuple([search.witness_from_leaf(leaves[k]) for k in picks] + normal_gens)
+
+
 def greedy_generators(elements: Sequence[Isometry]) -> tuple[Isometry, ...]:
     """Greedy generators over the elements of a group, in the given order:
     take each element not generated by the ones taken before it."""
     if not elements:
         return ()
     points = [to_points(el) for el in elements]
-    return tuple(elements[k] for k in _greedy_picks(points, len(points[0]), len(points)))
+    return tuple(elements[k] for k in greedy_picks(points, len(points[0]), len(points)))
 
 
 def find_all_leaves(search) -> list:
@@ -103,11 +161,12 @@ def expand_leaf(search, leaf) -> list[Isometry]:
 def aut_group_from_leaves(search, leaves, *, explicit_cap: int) -> AutGroupReport:
     """The automorphism group from the find-all leaves of the search over
     the whole code C = D: expanded, sorted and read by the greedy choice,
-    or, past ``explicit_cap``, read by ``_large_order_generators``."""
+    or, past ``explicit_cap``, read by ``large_order_generators``; both
+    by closing the group, not by the chain walk of ``aut_group``."""
     C = search.C
     order = len(leaves) * search.extension_count()
     if order > explicit_cap:
-        gens = _large_order_generators(search, leaves)
+        gens = large_order_generators(search, leaves)
         return AutGroupReport(order, tuple(GroupCodeIso(g, C, C) for g in gens), None, None)
     pairs = sorted((leaf[0], maps) for leaf in leaves for maps in leaf_maps(search, leaf))
     elements = [Isometry._build(maps, sigma) for sigma, maps in pairs]
@@ -195,11 +254,11 @@ def direct_elements(search, dec, rep_leaves) -> list[ElementPair]:
 
 def pair_picks(pairs: Sequence[ElementPair], q: int) -> list[int]:
     """Greedy generators over the elements (σ, maps), read through the
-    point form of each element (``isometry.pair_points``): the oracle for
-    the picks ``aut_group`` reads off the inverse point forms."""
+    point form of each element (``isometry.pair_points``) and closed: the
+    oracle for the picks of ``aut_group``'s chain walk."""
     if not pairs:
         return []
-    return _greedy_picks((pair_points(sigma, maps, q) for sigma, maps in pairs),
+    return greedy_picks((pair_points(sigma, maps, q) for sigma, maps in pairs),
                          q * len(pairs[0][0]), len(pairs))
 
 

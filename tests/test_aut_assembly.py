@@ -2,14 +2,17 @@
 searches (``_IsoSearch.run(cosets=True)``) and the decomposition
 (``isomorphy._aut_leaves``, ``_assemble``, ``_explicit_elements``) against
 the find-all search over the whole code (``oracles.find_all_leaves``),
-its oracle, and of the explicit group against the element by element
-route (``oracles.direct_elements``, ``pair_picks``, ``ElementText``)."""
+its oracle, of the explicit group against the element by element
+route (``oracles.direct_elements``, ``pair_picks``, ``ElementText``), and
+of the generators' chain walk (``isomorphy._chain_picks``) against the
+closure greedies (``oracles.greedy_picks``, ``large_order_generators``)."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, event, example, given, reject, settings, strategies as st
@@ -18,11 +21,15 @@ import groupcodes as gc
 from groupcodes import serialize as ser
 from groupcodes.catalog import binary_repetition, hamming_7_4_code
 from groupcodes.errors import PreconditionError, ResourceLimitError, TheoremViolationError
-from groupcodes.isometry import Isometry, pair_points, to_points
-from groupcodes.isomorphy import (GroupCodeIso, _assemble, _aut_leaves, _conjugated,
-                                  _explicit_elements, _greedy_picks, _IsoSearch, _one_block)
+from groupcodes.groups import CosetClosure
+from groupcodes.isometry import Isometry
+from groupcodes.isomorphy import (GroupCodeIso, _assemble, _aut_leaves, _chain_picks,
+                                  _conjugated, _explicit_elements, _IsoSearch, _one_block,
+                                  _pair_keys)
+from groupcodes.phases import Phases
 from oracles import (aut_group_from_leaves, aut_report_to_json, direct_elements,
-                     element_report_text, find_all_leaves, leaf_maps, mul_closure, pair_picks)
+                     element_report_text, find_all_leaves, greedy_picks, inverse_points,
+                     large_order_generators, leaf_maps, mul_closure, pair_picks)
 
 S3 = ser.alphabet_from_json({"kind": "table", "label": "S3", "table": [
     [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
@@ -100,16 +107,32 @@ def expansion(search, leaves):
     return sorted((leaf[0], maps) for leaf in leaves for maps in leaf_maps(search, leaf))
 
 
+# The whole-code find-all searches of the tests below run within this
+# many nodes. A find-all search visits every leaf of C, and on these codes
+# rarely more than three nodes per leaf, so the tests keep the codes with
+# at most a quarter of the budget in leaves, counted by the coset searches
+# first. Unbounded, a drawn full space S3^4 (31,104 leaves, 36,745 nodes
+# over 1,296 words) took 14 s of one example.
+NODE_BUDGET = 20_000
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(group_codes(), scrambled_sums()))
 def test_coset_search_finds_the_find_all_leaves_within_its_nodes(C):
     search = _IsoSearch(C, C, group_mode=True)
     identity, found = search.run(cosets=True)
     nodes = search.nodes
+    if math.prod(1 + len(reps) for reps in found) > NODE_BUDGET // 4:
+        reject()
     leaves = list(search.dfs_leaves(identity, found))
     # the oracle shares the candidate lists, so the dicts are the same objects
-    oracle = _IsoSearch(C, C, group_mode=True, maps=search._maps_by_projections)
-    expected = find_all_leaves(oracle)
+    oracle = _IsoSearch(C, C, group_mode=True, maps=search._maps_by_projections,
+                        max_nodes=NODE_BUDGET)
+    try:
+        expected = find_all_leaves(oracle)
+    except ResourceLimitError:
+        reject()
+    event(f"find-all nodes < {10 ** len(str(oracle.nodes))}")
     assert nodes <= oracle.nodes
     assert len(leaves) == math.prod(1 + len(reps) for reps in found)
     assert objects(leaves) == objects(expected)  # same list, order and dict objects
@@ -126,15 +149,6 @@ def test_coset_search_of_the_hamming_code():
     expected = find_all_leaves(oracle)
     assert (len(expected), oracle.nodes) == (168, 2108)
     assert objects(search.dfs_leaves(identity, found)) == objects(expected)
-
-
-# The whole-code find-all search of the next test runs within this many
-# nodes. It visits every leaf of C, and on these sums rarely more than
-# three nodes per leaf, so its strategy keeps the codes with at most a
-# quarter of the budget in leaves, counted by the coset searches first.
-# Unbounded, a drawn full space S3^4 (31,104 leaves, 36,745 nodes over
-# 1,296 words) took 14 s of one example.
-NODE_BUDGET = 20_000
 
 
 def leaf_count(C) -> int:
@@ -264,6 +278,17 @@ def test_blocks_with_the_identity_witness_are_not_conjugated(monkeypatch):
     monkeypatch.undo()
     assert ser.aut_report_dumps(gc.aut_group(C, twisted)) == ser.aut_report_dumps(
         gc.aut_group(C, dec))
+
+
+def test_a_misordered_candidate_list_raises(monkeypatch):
+    # the coset search and the chain walk take the first candidate
+    # restriction of a coordinate onto itself as the identity; over Z/4 the
+    # list is the identity, then x -> 3x
+    original = _IsoSearch._candidate_maps
+    monkeypatch.setattr(_IsoSearch, "_candidate_maps",
+                        lambda self, i, j: original(self, i, j)[::-1])
+    with pytest.raises(TheoremViolationError, match="misordered"):
+        gc.aut_group(REP_Z4)
 
 
 def test_wrong_witnesses_raise():
@@ -445,31 +470,106 @@ def test_elements_writer_on_elements_that_share_sigma():
     assert ser.aut_report_dumps(report) == oracle_text(report)
 
 
-def eager_points(el) -> tuple[int, ...]:
-    """The point form, built slice by slice: (σ(j), s) goes to (j, f_j(s))."""
-    maps, perm = el.config.maps, el.equiv.perm
-    q = len(maps[0])
-    points = [0] * (q * len(perm))
-    for j, (i, f) in enumerate(zip(perm, maps)):
-        points[i * q:(i + 1) * q] = [j * q + t for t in f]
-    return tuple(points)
+# the generator choice: the chain walk against the closure ----------------
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_sums(halves=True), st.booleans())
+@example(Z4_TRIVIAL2, False)
+def test_chain_walk_picks_the_closure_greedy_generators(C, with_structure):
+    dec = gc.decompose(C)
+    report = gc.aut_group(C, dec if with_structure else None)
+    assume(report.element_pairs is not None)
+    event(f"alphabet {C.alphabet.label}, alpha up to {max(a for _, a in dec.isotypes)}")
+    pairs = report.element_pairs
+    q = C.alphabet.order
+    picks = pair_picks(pairs, q)
+    # x is generated exactly when x^-1 is, so the inverse point forms pick the same
+    assert picks == greedy_picks(map(inverse_points, pairs), q * C.length, len(pairs))
+    assert tuple(g.iso for g in report.generators) == tuple(
+        Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
 
 
-@settings(max_examples=80, deadline=None)
-@given(scrambled_sums())
-@example(Z4_TRIVIAL2)
-def test_point_forms_on_demand_give_the_eager_greedy_picks(C):
+@settings(max_examples=100, deadline=None)
+@given(scrambled_sums(halves=True).filter(lambda C: leaf_count(C) <= NODE_BUDGET // 4),
+       st.booleans())
+def test_large_path_walk_picks_the_closure_greedy_generators(C, with_structure):
+    dec = gc.decompose(C)
+    report = gc.aut_group(C, dec if with_structure else None, explicit_cap=1)
+    assume(report.element_pairs is None)  # order 1 is listed
+    parts, search, rep_leaves, _ = aut_parts(C, dec)
+    leaves = _assemble(search, parts, rep_leaves)
+    event(f"alphabet {C.alphabet.label}, {len(parts.partition.blocks)} blocks")
+    assert tuple(g.iso for g in report.generators) == large_order_generators(search, leaves)
+
+
+class Reads(list):
+    """A list that records the positions read from it."""
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
+
+
+class Tracked(Phases):
+    """Phases that keep the names of the phases running in ``running``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.running: list[str] = []
+
+    @contextmanager
+    def __call__(self, name):
+        self.running.append(name)
+        try:
+            with super().__call__(name):
+                yield
+        finally:
+            self.running.pop()
+
+
+def test_chain_walk_reads_few_elements_and_builds_no_closure(code_d, rep3, monkeypatch):
+    C = gc.direct_sum_all([code_d, rep3, rep3])
     report = gc.aut_group(C)
-    assume(report.elements is not None)
-    elements = report.elements
-    degree, size = C.alphabet.order * C.length, len(elements)
-    eager = [eager_points(el) for el in elements]
-    assert eager == [to_points(el) for el in elements]
-    assert eager == [pair_points(sigma, maps, C.alphabet.order)
-                     for sigma, maps in report.element_pairs]
-    read = []
-    lazy = (read.append(el) or to_points(el) for el in elements)
-    picks = _greedy_picks(lazy, degree, size)
-    assert picks == _greedy_picks(eager, degree, size)
-    assert tuple(g.iso for g in report.generators) == tuple(elements[k] for k in picks)
-    assert read == list(elements[:len(read)])  # read in order, and only until generated
+    pairs = Reads(report.element_pairs)
+    assert len(pairs) == 432
+    n, q = C.length, C.alphabet.order
+    picks = _chain_picks(pairs, (tuple(range(n)), (tuple(range(q)),) * n), *_pair_keys(n), 432)
+    assert tuple(g.iso for g in report.generators) == tuple(
+        Isometry._build(pairs[k][1], pairs[k][0]) for k in picks)
+    assert len(pairs.read) < 60
+    # the generator step builds no closure, on either path; the search does
+    phases = Tracked()
+    built = []
+    original = CosetClosure.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(tuple(phases.running))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CosetClosure, "__init__", spy)
+    for explicit_cap in (10**4, 1):
+        again = gc.aut_group(gc.GroupCode.from_words(C.alphabet, n, C.words),
+                             explicit_cap=explicit_cap, phases=phases)
+        assert again.generators[0].iso == report.generators[0].iso
+    assert built and not any("generators" in running for running in built)
+
+
+def test_chain_walk_raises_on_a_listing_that_is_no_group(code_d):
+    report = gc.aut_group(code_d)
+    pairs = report.element_pairs
+    identity = (tuple(range(3)), ((0, 1),) * 3)
+    keys, acts = _pair_keys(3)
+    assert _chain_picks(pairs, identity, keys, acts, 6) == [1, 2]
+    with pytest.raises(TheoremViolationError, match="not the identity"):
+        _chain_picks(pairs[1:], identity, keys, acts, 5)
+    with pytest.raises(TheoremViolationError, match="listed for a group of order 12"):
+        _chain_picks(pairs, identity, keys, acts, 12)
+    with pytest.raises(TheoremViolationError, match="do not divide"):
+        _chain_picks(pairs[:5], identity, keys, acts, 5)
+    # two entries at one position, and an action that moves neither
+    with pytest.raises(TheoremViolationError, match="1 of 2 points"):
+        _chain_picks([0, 1], 0, [lambda x: x], [lambda g, v: v], 2)

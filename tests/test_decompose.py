@@ -412,3 +412,77 @@ def test_certificates_match_the_per_predicate_oracle(C):
     event(",".join(tags) or "no certificate")
     assert gc.applicable_certificates(C) == tags
     assert gc.indecomposability_certificate(C) == (tags[0] if tags else None)
+
+
+# free coordinates of group codes, peeled before the split search ----------
+
+V4 = gc.klein_four_group()
+
+
+@st.composite
+def sums_with_free_coordinates(draw):
+    """A scrambled direct sum of small group codes, full(G, 1) parts (a
+    free coordinate), trivial parts (a constant coordinate) and the Z/4
+    half {0, 2} on one coordinate, over Z/2, Z/3, Z/4 or V4."""
+    G = draw(st.sampled_from([gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4), V4]))
+    summands = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["full", "trivial", "half", "random"]))
+        if kind == "full":
+            summands.append(gc.full_space(G, 1))
+        elif kind == "trivial":
+            summands.append(gc.GroupCode.from_words(G, 1, [(G.identity,)]))
+        elif kind == "half" and G.label == "Z/4":
+            summands.append(gc.GroupCode.from_words(G, 1, [(0,), (2,)]))
+        else:
+            n = draw(st.integers(2, 3))
+            words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+            summands.append(gc.generate_group_code(G, n, draw(st.lists(words, min_size=1,
+                                                                        max_size=2))))
+    total = gc.direct_sum_all(summands)
+    perm = tuple(draw(st.permutations(range(total.length))))
+    auts = gc.automorphisms(G)
+    maps = tuple(draw(st.sampled_from(auts)).mapping for _ in perm)
+    phi = gc.Isometry(gc.Configuration(maps), gc.Equivalence(perm))
+    return gc.GroupCode.from_words(G, total.length, gc.apply_to_code(phi, total).words)
+
+
+def free_by_projection_counts(C):
+    """The coordinates i with |C| = |pi_i(C)| * |pi_(N∖i)(C)|, one split
+    test each; a code of length 1 is its one coordinate's projection."""
+    if C.length == 1:
+        return (0,)
+    return tuple(i for i in range(C.length) if gc.split_test(C, (i,)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sums_with_free_coordinates(), st.booleans())
+def test_peeling_free_coordinates_gives_the_unpeeled_decomposition(C, use_certificates):
+    # the free coordinates are exactly the one-coordinate splits
+    assert dmod.free_coordinates(C) == free_by_projection_counts(C)
+    event(f"free coordinates: {len(dmod.free_coordinates(C))} of {C.length}")
+    dec = gc.decompose(C, use_certificates=use_certificates)
+    # the route before free coordinates: constants alone are peeled
+    original = dmod.free_coordinates
+    dmod.free_coordinates = lambda code: clmod.is_degenerate(code)[1]
+    try:
+        unpeeled = gc.decompose(C, use_certificates=use_certificates)
+    finally:
+        dmod.free_coordinates = original
+    assert dec.partition == unpeeled.partition
+    assert [c.words for c in dec.components] == [c.words for c in unpeeled.components]
+    assert (dec.isotypes, dec.isotype_members, dec.witness, dec.certificates,
+            dec.isotype_witnesses) == (unpeeled.isotypes, unpeeled.isotype_members,
+                                       unpeeled.witness, unpeeled.certificates,
+                                       unpeeled.isotype_witnesses)
+
+
+def test_free_coordinates_skip_the_split_search(hamming, z2, monkeypatch):
+    # H + Z/2: the Z/2 coordinate splits off alone, and H is perfect, so no
+    # subset of the 127 containing coordinate 0 is tried
+    C = gc.direct_sum(gc.full_space(z2, 1), hamming)
+    monkeypatch.setattr(dmod, "_canonical_split",
+                        lambda *args: pytest.fail("ran the split search"))
+    dec = gc.decompose(C)
+    assert dec.partition.blocks == ((0,), tuple(range(1, 8)))
+    assert dec.certificates[1] == CERT_PERFECT

@@ -222,6 +222,31 @@ def test_apply_to_code_preserves_invariants(corpus):
         assert gc.min_distance(image) == gc.min_distance(C)
 
 
+@given(st.data())
+def test_apply_to_code_matches_the_word_by_word_apply(data):
+    q = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 5))
+    words = data.draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * n), min_size=1, max_size=12))
+    C = gc.Code.from_words(gc.cyclic_group(q), n, words)
+    perm = tuple(data.draw(st.permutations(range(n))))
+    # the identity relabelling one time in three, so both branches run
+    ident = data.draw(st.integers(0, 2)) == 0
+    maps = tuple(tuple(range(q)) if ident else tuple(data.draw(st.permutations(range(q))))
+                 for _ in range(n))
+    iso = gc.Isometry(gc.Configuration(maps), gc.Equivalence(perm))
+    image = gc.apply_to_code(iso, C)
+    assert type(image) is gc.Code
+    assert image.words == tuple(sorted(iso.apply(w) for w in C.words))
+
+
+def test_identity_isometry_equals_the_validated_one():
+    for q, n in [(1, 1), (2, 3), (4, 1), (3, 5)]:
+        ident = gc.Isometry(gc.Configuration((tuple(range(q)),) * n),
+                            gc.Equivalence(tuple(range(n))))
+        assert gc.identity_isometry(q, n) == ident
+        assert hash(gc.identity_isometry(q, n)) == hash(ident)
+
+
 def test_apply_to_code_push_table(code_d):
     square = gc.direct_sum(code_d, code_d)
     pushed = {gc.apply_push(SIGMA_PUSH, w) for w in square.words}

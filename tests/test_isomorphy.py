@@ -400,7 +400,7 @@ def test_large_order_generators_match_scratch_quotient_greedy(z4, halves, reps, 
     search = _IsoSearch(C, C, group_mode=True)
     leaves = find_all_leaves(search)
     order = len(leaves) * search.extension_count()
-    gens = _large_order_generators(search, leaves)
+    gens = _large_order_generators(search, leaves, len(leaves))
     assert gens == scratch_large_order_generators(search, leaves)
     report = gc.aut_group(C, explicit_cap=1)  # force the generators-only path
     assert report.elements is None and report.order == order
