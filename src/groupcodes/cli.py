@@ -6,7 +6,8 @@ resource cap (a partial report is still emitted), 4 internal error (a
 structure theorem checked at run time failed, or a verb raised an
 unexpected exception: a bug in the program, never bad input). Reports go
 to stdout, diagnostics and timings to stderr, so stdout is a pure
-function of the input file and flags.
+function of the input file and flags. Each verb takes only the flags its
+command reads; any other flag is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import sys
 import traceback
 from typing import Any, Sequence
 
-from .classify import DEFAULT_CENTER_CAP, classify, perfect_by_enumeration
+from .classify import (DEFAULT_CENTER_CAP, DEFAULT_ENUMERATION_GATE, classify,
+                       perfect_by_enumeration)
 from .codes import Code, GroupCode, min_distance, min_weight_nonidentity, parameters
 from .cyclic import cyclic_report, interleave_pairs, interleave_permutation, join
 from .decompose import (DEFAULT_PARTITION_BITS, applicable_certificates, decompose)
@@ -35,22 +37,28 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="json",
-                   help="output format (default json)")
-    p.add_argument("--max-partition-bits", type=int, default=DEFAULT_PARTITION_BITS,
-                   metavar="N", help="coordinate cap for the subset split search")
-    p.add_argument("--max-search", type=int, default=DEFAULT_MAX_NODES,
-                   metavar="M", help="node cap for each isomorphism search "
-                                     "(and leaf cap for assembled automorphism groups)")
-    p.add_argument("--center-cap", type=int, default=DEFAULT_CENTER_CAP,
-                   metavar="W", help="cap on q^n, the candidates of the constant-weight "
-                                     "center search")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized self tests")
-    p.add_argument("--oracle", action="store_true",
-                   help="enable brute-force cross-checks where gated")
-    p.add_argument("--timings", action="store_true",
-                   help="print per-phase timings to stderr")
+# the shared options, each given only to the verbs whose command reads it
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "--format": dict(choices=("json", "text"), default="json",
+                     help="output format (default json)"),
+    "--max-partition-bits": dict(type=int, default=DEFAULT_PARTITION_BITS, metavar="N",
+                                 help="coordinate cap for the subset split search"),
+    "--max-search": dict(type=int, default=DEFAULT_MAX_NODES, metavar="M",
+                         help="node cap for each isomorphism search "
+                              "(and leaf cap for assembled automorphism groups)"),
+    "--center-cap": dict(type=int, default=DEFAULT_CENTER_CAP, metavar="W",
+                         help="cap on q^n, the candidates of the constant-weight "
+                              "center search"),
+    "--seed": dict(type=int, default=0, help="seed for randomized self tests"),
+    "--oracle": dict(action="store_true", help="enable brute-force cross-checks where gated"),
+    "--timings": dict(action="store_true", help="print per-phase timings to stderr"),
+}
+
+
+def _options(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared options and --timings, which every verb reads."""
+    for name in names + ("--timings",):
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,37 +68,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full parameter/classification/decomposition report")
     p.add_argument("input")
-    _common_flags(p)
+    _options(p, "--format", "--max-partition-bits", "--max-search", "--center-cap", "--oracle")
 
     p = sub.add_parser("decompose", help="canonical decomposition into indecomposables")
     p.add_argument("input")
-    _common_flags(p)
+    _options(p, "--format", "--max-partition-bits", "--max-search")
 
     p = sub.add_parser("aut", help="automorphism group of a group code")
     p.add_argument("input")
     p.add_argument("--with-structure", action="store_true",
                    help="also report the isotypes with the automorphism order of "
                         "each representative, and check the product formula")
-    _common_flags(p)
+    _options(p, "--format", "--max-partition-bits", "--max-search")
 
     p = sub.add_parser("iso", help="isomorphism test between two codes")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    _common_flags(p)
+    _options(p, "--format", "--max-search")
 
     p = sub.add_parser("interleave", help="cyclic rearrangement of copies of a cyclic group code")
     p.add_argument("input")
     p.add_argument("--copies", type=int, required=True)
-    _common_flags(p)
+    _options(p, "--format")
 
     p = sub.add_parser("join", help="componentwise bundle of cyclic group codes over the product group")
     p.add_argument("inputs", nargs="+")
-    _common_flags(p)
+    _options(p, "--format")
 
     p = sub.add_parser("selftest", help="run the theorem-by-theorem property corpus")
     p.add_argument("--trials", type=int, default=100,
                    help="randomized reconstruction trials (default 100)")
-    _common_flags(p)
+    _options(p, "--seed", "--oracle")
 
     return parser
 
@@ -174,7 +182,7 @@ def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
         limits.append("cyclic")
     if args.oracle:
         oracle: dict[str, Any] = {}
-        covering = code.alphabet.order ** code.length <= 2**16
+        covering = code.alphabet.order ** code.length <= DEFAULT_ENUMERATION_GATE
         weight_scan = isinstance(code, GroupCode) and code.size >= 2
         # one pairwise scan serves both oracles
         d = min_distance(code) if covering or weight_scan else None

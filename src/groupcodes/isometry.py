@@ -166,31 +166,6 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
     return Isometry._build(maps, perm)
 
 
-# point form ---------------------------------------------------------------
-#
-# An isometry of A^n, |A| = q, permutes the q·n points (coordinate, symbol),
-# point (i, s) numbered i·q + s: f∘σ̄ sends (σ(j), s) to (j, f_j(s)), so it
-# carries the point set {(i, x_i)} of a word x onto that of its image. Hence
-# compose(a, b) has the point form P_a∘P_b, one tuple index.
-
-def to_points(iso: Isometry) -> tuple[int, ...]:
-    """The point form of an isometry: entry i·q + s is the image of (i, s)."""
-    maps = iso.config.maps
-    q = len(maps[0]) if maps else 0
-    if any(len(f) != q for f in maps):
-        raise IncompatibleError("the point form needs one alphabet on every coordinate")
-    return pair_points(iso.equiv.perm, maps, q)
-
-
-def pair_points(perm: tuple[int, ...], maps: tuple[tuple[int, ...], ...],
-                q: int) -> tuple[int, ...]:
-    """The point form of f∘σ̄ given as σ and its maps, each a permutation
-    of the same q symbols (unchecked)."""
-    # input coordinate i is σ(j) for j = inv[i]
-    inv = sorted(range(len(perm)), key=perm.__getitem__)
-    return tuple([j * q + t for j in inv for t in maps[j]])
-
-
 def inverse(iso: Isometry) -> Isometry:
     inv_equiv = iso.equiv.inverse()
     rho = inv_equiv.perm

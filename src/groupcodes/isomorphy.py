@@ -17,20 +17,20 @@ indecomposable) by a coset search (Leon, J. Symbolic Comput. 12, 1991;
 ``_IsoSearch.run(cosets=True)``): it walks the identity path of the
 search tree and runs one find-one search under each other child of its
 nodes, since the leaves below a child are a coset of the stabilizer below
-it and one leaf represents them. The leaves follow by composition, lazily
-and in the order of the find-all search (``_IsoSearch.dfs_leaves``). A group
-within the explicit cap is built element by element as (σ, maps) pairs
-(``_explicit_elements``): each representative leaf, conjugated onto every
-block of its isotype by the decomposition's witnesses, with its bijective
-extensions, combined over every block permutation, and sorted once; so it
-needs the leaves in no DFS order, and no leaf list of the whole code is
-built. A block whose witness is the identity, as decompose gives every
-representative, is not conjugated: its leaves are leaves of C as they
-are. The greedy generators read each element's inverse point form
-(``_InversePoints``), whose coordinate runs are cached per coordinate and
-map. Larger groups read the whole code's leaves, combined the same way and
-sorted into the find-all order (``_assemble``), for their generators. The
-find-all search and the element by element route stay in the tests as
+it and one leaf represents them. The leaves follow by composition, in the
+order of the find-all search (``_IsoSearch.dfs_leaves``), and each
+representative leaf is conjugated onto every block of its isotype by the
+decomposition's witnesses (``_conjugated``); a block whose witness is the
+identity, as decompose gives every representative, is not conjugated: its
+leaves are leaves of C as they are. A group within the explicit cap is
+built element by element as (σ, maps) pairs (``_explicit_elements``): the
+conjugated leaves with their bijective extensions, combined over every
+block permutation and sorted once, so no leaf list of the whole code is
+built. Larger groups read the whole code's leaves, combined the same way
+and sorted into the find-all order (``_assemble``). Either way the greedy
+generators come from a walk down the stabilizer chain of that order
+(``_chain_picks``), with no closure of the group. The find-all search, the
+element by element route and the closure greedies stay in the tests as
 oracles.
 """
 
@@ -42,7 +42,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .codes import Code, GroupCode, Word, direct_sum_all, word_mul
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # structure checks take a Decomposition without importing at 
 
 DEFAULT_MAX_NODES = 10**6
 DEFAULT_EXPLICIT_CAP = 10**4
-CLOSURE_VERIFY_CAP = 10**6
 
 # a search leaf: σ and the restrictions pi_σ(j)(C) -> pi_j(D), extensions not expanded
 Leaf = tuple[tuple[int, ...], tuple[dict[int, int], ...]]
@@ -349,12 +348,19 @@ class _IsoSearch:
                 f"is no subgroup isomorphism; the automorphism assembly is buggy")
         return hit
 
-    def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]], *,
-                   ordered: bool = True) -> list[Leaf]:
+    def _restriction_index(self) -> dict[int, tuple[dict[int, int], int]]:
+        """Every candidate restriction listed so far in the candidate lists
+        this search shares (``_candidate_maps``), by the id of its dict: the
+        dict and its position in its list. The lists hold every dict, so
+        the ids stay unique; a list made after this call is not in it."""
+        return {id(f): (f, k) for cands in self._maps_by_projections.values()
+                for k, (f, _) in enumerate(cands)}
+
+    def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]]) -> list[Leaf]:
         """Every leaf of Aut(C) from the coset search, in the find-all
         search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1, ...)
         with k_j the position of restriction j in ``_candidate_maps(σ(j),
-        j)``; in no fixed order when not ``ordered``.
+        j)``.
 
         With T_j the identity and the leaves found at depth j, a leaf
         factors uniquely as t_(n-1)∘...∘t_0 with t_j in T_j, and its entry
@@ -362,11 +368,8 @@ class _IsoSearch:
         coordinates 0..j. So the products x_j are built level by level, one
         composition per node of this coset tree, the children of each
         parent ordered by their entry j and kept together."""
-        # restrictions go by the ids of their dicts, each known with its
-        # position in its candidate list; candidate lists hold every dict,
-        # so the ids stay unique
-        known = {id(f): (f, k) for cands in self._map_cache.values()
-                 for k, (f, _) in enumerate(cands)}
+        # restrictions go by the ids of their dicts
+        known = self._restriction_index()
         times = self._times
         current = [(identity[0], tuple(map(id, identity[1])))]
         for j, reps in enumerate(found):
@@ -376,8 +379,7 @@ class _IsoSearch:
             products: list[tuple] = []
             for x in current:
                 children = [x] + [times(t, x, known) for t in level]
-                if ordered:
-                    children.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
+                children.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
                 products += children
             current = products
         return [(sigma, tuple([known[a][0] for a in restr])) for sigma, restr in current]
@@ -636,13 +638,10 @@ def aut_group(C: GroupCode, decomposition: "Decomposition | None" = None, *,
     with phases("search"):
         search, searched, rows, count = _aut_leaves(C, dec, max_nodes=max_nodes)
     order = count * search.extension_count()
-    # an explicit group is sorted at the end, so it needs no DFS order
-    explicit = order <= explicit_cap
-    rep_leaves = [ks.dfs_leaves(identity, found, ordered=not explicit)
-                  for ks, identity, found in searched]
+    rep_leaves = [ks.dfs_leaves(identity, found) for ks, identity, found in searched]
 
     pairs: tuple[ElementPair, ...] | None = None
-    if explicit:
+    if order <= explicit_cap:
         with phases("elements"):
             pairs = tuple(_explicit_elements(search, dec, rep_leaves))
         with phases("generators"):
@@ -741,24 +740,20 @@ def _block_sources(dec: "Decomposition") -> Iterator[list[int]]:
 
 
 def _conjugated(search: _IsoSearch, dec: "Decomposition",
-                rep_leaves: Sequence[Iterable[Leaf]], *,
-                keyed: bool) -> dict[tuple[int, int], list[tuple]]:
+                rep_leaves: Sequence[Iterable[Leaf]]) -> dict[tuple[int, int], list[tuple]]:
     """Each representative leaf a carried from block k_in onto block k_out
     of its isotype, w_out∘a∘w_in^-1 with w the isotype witnesses: per
-    (k_in, k_out), one tuple per leaf of its σ, its restrictions (C's
-    canonical dicts, ``_IsoSearch._canonical``) and, when ``keyed``, its
-    DFS sort keys σ(j)·span + (position of restriction j in
-    ``_candidate_maps(σ(j), j)``), each over the coordinates j of block
-    k_out in order.
+    (k_in, k_out), one tuple per leaf of its σ and its restrictions (C's
+    canonical dicts, ``_IsoSearch._canonical``), each over the coordinates
+    j of block k_out in order.
 
-    Unkeyed, a block whose witness is the identity and whose component has
-    the representative's own words is not conjugated: a leaf carried
-    between two such blocks has σ = block_in[τ] and keeps its restriction
-    dicts, which are C's, since the component searches and the search
-    over C share their candidate lists."""
+    A block whose witness is the identity and whose component has the
+    representative's own words is not conjugated: a leaf carried between
+    two such blocks has σ = block_in[τ] and keeps its restriction dicts,
+    which are C's, since the component searches and the search over C
+    share their candidate lists."""
     q = search.q
     blocks = dec.partition.blocks
-    span = math.factorial(q)  # more candidate maps than any list holds
     ident = tuple(range(q))
     # block k's witness w_k as (σ, maps), and its inverse
     perms = [w.equiv.perm for w in dec.isotype_witnesses]
@@ -768,15 +763,14 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
     parts: dict[tuple[int, int], list[tuple]] = {}
     # g∘f∘h by the ids of g, f and h, which this call holds, and the
     # projections of its coordinates i and j, which fix its candidate list
-    composed: dict[tuple[int, int, int, int, int], tuple[int, dict[int, int]]] = {}
+    composed: dict[tuple[int, int, int, int, int], dict[int, int]] = {}
     projections: dict[tuple[int, ...], int] = {}
     kind_in = [projections.setdefault(p, len(projections)) for p in search.proj_in]
     kind_out = [projections.setdefault(p, len(projections)) for p in search.proj_out]
-    positions, dicts, keys = itemgetter(0), itemgetter(1), span.__mul__
     for (rep, _), members, kleaves in zip(dec.isotypes, dec.isotype_members,
                                           map(list, rep_leaves)):
         words = dec.components[rep].words
-        plain = {k for k in members if not keyed and dec.components[k].words == words
+        plain = {k for k in members if dec.components[k].words == words
                  and list(perms[k]) == sorted(perms[k]) and set(fmaps[k]) == {ident}}
         for k_out in members:
             block, order, gs = blocks[k_out], perms[k_out], fmaps[k_out]
@@ -806,11 +800,9 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
                             # table is then no candidate, and _canonical raises
                             if h[a] in f:
                                 table[a] = g[f[h[a]]]
-                        hits[t] = composed[found[t]] = search._canonical(sig[t], block[t], table)
-                    option = sig + tuple(map(dicts, hits))
-                    if keyed:
-                        option += tuple(map(add, map(keys, sig), map(positions, hits)))
-                    options.append(option)
+                        hits[t] = composed[found[t]] = search._canonical(
+                            sig[t], block[t], table)[1]
+                    options.append(sig + tuple(hits))
     return parts
 
 
@@ -850,11 +842,21 @@ def _assemble(search: _IsoSearch, dec: "Decomposition",
     conjugated representative leaves (``_conjugated``), sorted into the
     find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1,
     ...) with k_j the position of restriction j in ``_candidate_maps(σ(j),
-    j)``. One block has C's own leaves, which come in that order."""
-    if len(dec.partition.blocks) == 1:
+    j)``: each conjugated leaf is keyed by σ(j)·q! + k_j. One block has
+    C's own leaves, which come in that order."""
+    blocks = dec.partition.blocks
+    if len(blocks) == 1:
         return list(rep_leaves[0])
-    flats, (sig_of, res_of, key_of) = _combined(
-        dec, _conjugated(search, dec, rep_leaves, keyed=True), 3)
+    parts = _conjugated(search, dec, rep_leaves)
+    # read after _conjugated, whose _canonical may list new candidate restrictions
+    known = search._restriction_index()
+    span = math.factorial(search.q)  # more candidate maps than any list holds
+    for (_, k_out), options in parts.items():
+        width = len(blocks[k_out])
+        options[:] = [option + tuple([s * span + known[id(f)][1]
+                                      for s, f in zip(option[:width], option[width:])])
+                      for option in options]
+    flats, (sig_of, res_of, key_of) = _combined(dec, parts, 3)
     records = [(key_of(flat), sig_of(flat), res_of(flat)) for flat in flats]
     records.sort(key=itemgetter(0))
     return [(sig, res) for _, sig, res in records]
@@ -870,7 +872,7 @@ def _explicit_elements(search: _IsoSearch, dec: "Decomposition",
     element it is part of. The leaves may come in any order."""
     blocks = dec.partition.blocks
     parts = {}
-    for (k_in, k_out), options in _conjugated(search, dec, rep_leaves, keyed=False).items():
+    for (k_in, k_out), options in _conjugated(search, dec, rep_leaves).items():
         block, width = blocks[k_out], len(blocks[k_out])
         parts[k_in, k_out] = [
             option[:width] + maps for option in options
@@ -927,8 +929,7 @@ def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],
     """
     q, n = search.q, search.n
     span = math.factorial(q)  # more candidate maps than any list holds
-    position = {id(f): k for cands in search._maps_by_projections.values()
-                for k, (f, _) in enumerate(cands)}
+    known = search._restriction_index()
     identity = (tuple(range(n)), tuple(map(search._identity_restriction, range(n))))
 
     def act(g: Leaf, entry: int, j: int) -> int:
@@ -941,7 +942,7 @@ def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],
             table[a] = f[r[a]]
         return i * span + search._canonical(i, j, table)[0]
 
-    keys = [lambda leaf, j=j: leaf[0][j] * span + position[id(leaf[1][j])] for j in range(n)]
+    keys = [lambda leaf, j=j: leaf[0][j] * span + known[id(leaf[1][j])][1] for j in range(n)]
     picks = _chain_picks(leaves, identity, keys,
                          [lambda g, v, j=j: act(g, v, j) for j in range(n)], count)
     ident = tuple(range(q))

@@ -15,7 +15,8 @@ from typing import Callable, TextIO
 
 from .catalog import (binary_repetition, even_weight_code, hamming_7_4_code,
                       repetition_code, sum_zero_code, z4_example_code)
-from .classify import is_mds, is_perfect, is_trivial, perfect_by_enumeration
+from .classify import (DEFAULT_ENUMERATION_GATE, is_mds, is_perfect, is_trivial,
+                       perfect_by_enumeration)
 from .codes import (Code, GroupCode, all_words, direct_sum, direct_sum_all, full_space,
                     hamming_distance, min_distance, min_weight_nonidentity, parameters,
                     projection)
@@ -474,7 +475,7 @@ def check_cyclic_structure() -> CheckResult:
 def check_perfect_oracle(rng: random.Random) -> CheckResult:
     count = 0
     for C in mixed_corpus(rng):
-        if C.alphabet.order ** C.length > 2**16:
+        if C.alphabet.order ** C.length > DEFAULT_ENUMERATION_GATE:
             continue
         if is_perfect(C) != perfect_by_enumeration(C):
             return CheckResult("perfect-covering-oracle", False, f"disagreement on {C}")

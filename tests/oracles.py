@@ -16,8 +16,7 @@ from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, 
                                   decompose)
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                                TheoremViolationError)
-from groupcodes.isometry import (Configuration, Equivalence, Isometry, compose, pair_points,
-                                 to_points)
+from groupcodes.isometry import Configuration, Equivalence, Isometry, compose
 from groupcodes.groups import CosetClosure
 from groupcodes.isomorphy import (AutGroupReport, ElementPair, GroupCodeIso, Leaf,
                                   _symmetric_generators, gc_isomorphic)
@@ -254,7 +253,7 @@ def direct_elements(search, dec, rep_leaves) -> list[ElementPair]:
 
 def pair_picks(pairs: Sequence[ElementPair], q: int) -> list[int]:
     """Greedy generators over the elements (σ, maps), read through the
-    point form of each element (``isometry.pair_points``) and closed: the
+    point form of each element (``pair_points``) and closed: the
     oracle for the picks of ``aut_group``'s chain walk."""
     if not pairs:
         return []
@@ -375,7 +374,30 @@ def cyclic_structure(C: GroupCode) -> ComponentStructure:
                               components_cyclic=True)
 
 
-# point forms (see ``isometry.to_points``) ----------------------------------
+# point forms ----------------------------------------------------------------
+#
+# An isometry of A^n, |A| = q, permutes the q·n points (coordinate, symbol),
+# point (i, s) numbered i·q + s: f∘σ̄ sends (σ(j), s) to (j, f_j(s)), so it
+# carries the point set {(i, x_i)} of a word x onto that of its image. Hence
+# compose(a, b) has the point form P_a∘P_b, one tuple index.
+
+def to_points(iso: Isometry) -> tuple[int, ...]:
+    """The point form of an isometry: entry i·q + s is the image of (i, s)."""
+    maps = iso.config.maps
+    q = len(maps[0]) if maps else 0
+    if any(len(f) != q for f in maps):
+        raise IncompatibleError("the point form needs one alphabet on every coordinate")
+    return pair_points(iso.equiv.perm, maps, q)
+
+
+def pair_points(perm: tuple[int, ...], maps: tuple[tuple[int, ...], ...],
+                q: int) -> tuple[int, ...]:
+    """The point form of f∘σ̄ given as σ and its maps, each a permutation
+    of the same q symbols (unchecked)."""
+    # input coordinate i is σ(j) for j = inv[i]
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple([j * q + t for j in inv for t in maps[j]])
+
 
 def from_points(points: Sequence[int], q: int) -> Isometry:
     """The isometry of a point form over a q-letter alphabet; validated."""

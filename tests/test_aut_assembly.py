@@ -24,8 +24,7 @@ from groupcodes.errors import PreconditionError, ResourceLimitError, TheoremViol
 from groupcodes.groups import CosetClosure
 from groupcodes.isometry import Isometry
 from groupcodes.isomorphy import (GroupCodeIso, _assemble, _aut_leaves, _chain_picks,
-                                  _conjugated, _explicit_elements, _IsoSearch, _one_block,
-                                  _pair_keys)
+                                  _explicit_elements, _IsoSearch, _one_block, _pair_keys)
 from groupcodes.phases import Phases
 from oracles import (aut_group_from_leaves, aut_report_to_json, direct_elements,
                      element_report_text, find_all_leaves, greedy_picks, inverse_points,
@@ -262,18 +261,18 @@ def test_blocks_with_the_identity_witness_are_not_conjugated(monkeypatch):
     assert dec.isotype_members == ((0, 1),)
     parts, search, rep_leaves, _ = aut_parts(C, dec)
     calls = canonical_calls(monkeypatch)
-    plain = _conjugated(search, parts, rep_leaves, keyed=False)
+    elements = _explicit_elements(search, parts, rep_leaves)
+    leaves = _assemble(search, parts, rep_leaves)
     assert calls == []
-    # the same leaves, dicts and all, as conjugated by the identity
-    keyed = _conjugated(search, parts, rep_leaves, keyed=True)
-    assert calls
-    assert {k: objects([(o[:2], o[2:4]) for o in options]) for k, options in keyed.items()} == {
-        k: objects([(o[:2], o[2:]) for o in options]) for k, options in plain.items()}
+    # the same leaves, dicts and all, as the whole-code search's
+    expected = find_all_leaves(search)
+    assert objects(leaves) == objects(expected)
+    assert elements == expansion(search, expected)
     # an automorphism of rep(Z/4, 2) as the representative's witness is
-    # conjugated, and gives the same group
+    # conjugated, and gives the same leaves and group
     calls.clear()
     twisted = with_witness(dec, ((0, 3, 2, 1), (0, 3, 2, 1)))
-    _conjugated(search, twisted, rep_leaves, keyed=False)
+    assert objects(_assemble(search, twisted, rep_leaves)) == objects(expected)
     assert calls
     monkeypatch.undo()
     assert ser.aut_report_dumps(gc.aut_group(C, twisted)) == ser.aut_report_dumps(
@@ -408,23 +407,6 @@ def test_whole_code_cap_drops_the_identity(code_d):
     assert "the whole code" in str(err.value)
     partial = [w.iso for w in err.value.partial_generators]
     assert len(partial) == 2 and gc.identity_isometry(2, 3) not in partial
-
-
-@pytest.mark.parametrize("explicit_cap,ordered", [(1, True), (10**4, False)])
-def test_only_the_large_path_reads_the_leaves_in_dfs_order(code_d, monkeypatch,
-                                                           explicit_cap, ordered):
-    # one block's leaves go to the greedy generators as they come; a listed
-    # group is sorted at the end
-    asked = []
-    original = _IsoSearch.dfs_leaves
-
-    def spy(self, identity, found, *, ordered=True):
-        asked.append(ordered)
-        return original(self, identity, found, ordered=ordered)
-
-    monkeypatch.setattr(_IsoSearch, "dfs_leaves", spy)
-    gc.aut_group(code_d, explicit_cap=explicit_cap)
-    assert asked == [ordered]
 
 
 def test_partition_cap_falls_back_to_the_whole_code_search(code_d):

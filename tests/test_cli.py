@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
@@ -237,6 +238,44 @@ def test_threads_is_an_unknown_option(files, capsys):
         main(["analyze", files["d"], "--threads", "4"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+# each verb's flags beyond --help: exactly the ones its command reads
+VERB_FLAGS = {
+    "analyze": {"--format", "--max-partition-bits", "--max-search", "--center-cap",
+                "--oracle", "--timings"},
+    "decompose": {"--format", "--max-partition-bits", "--max-search", "--timings"},
+    "aut": {"--with-structure", "--format", "--max-partition-bits", "--max-search",
+            "--timings"},
+    "iso": {"--format", "--max-search", "--timings"},
+    "interleave": {"--copies", "--format", "--timings"},
+    "join": {"--format", "--timings"},
+    "selftest": {"--trials", "--seed", "--oracle", "--timings"},
+}
+
+
+def test_each_verb_takes_only_the_flags_it_reads(files, capsys):
+    from groupcodes.cli import build_parser
+    verbs = next(action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    taken = {verb: {flag for action in p._actions for flag in action.option_strings}
+             - {"-h", "--help"} for verb, p in verbs.items()}
+    assert taken == VERB_FLAGS
+    assert sum(map(len, taken.values())) == 27
+    # a flag the verb never reads is unknown to it, as any other is
+    for argv, unknown in [
+        (["iso", files["d"], files["rep"], "--seed", "1"], "--seed 1"),
+        (["decompose", files["d"], "--oracle"], "--oracle"),
+        (["aut", files["d"], "--center-cap", "8"], "--center-cap 8"),
+        (["join", files["rep"], files["rep"], "--max-search", "5"], "--max-search 5"),
+        (["interleave", files["d"], "--copies", "2", "--max-partition-bits", "2"],
+         "--max-partition-bits 2"),
+        (["selftest", "--format", "text"], "--format text"),
+    ]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
 
 
 def test_emitted_code_json_reparses(files, capsys):

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import groupcodes as gc
-from groupcodes import isometry
 from groupcodes.errors import IncompatibleError, PreconditionError, ResourceLimitError
 
-from oracles import compose_points, from_points
+from oracles import compose_points, from_points, to_points
 
 # the worked interleaving table rows, frozen: push of sigma=(1,3,5,2,4,6)
 PUSH_TABLE_ROWS = {
@@ -159,9 +158,9 @@ def test_compose_rejects_mixed_alphabets():
 def test_point_form_composes_like_compose(rnd, q, n):
     # P_{a∘b} = P_a∘P_b, and the point form round-trips to the isometry
     a, b = random_isometry(rnd, q, n), random_isometry(rnd, q, n)
-    pa, pb = isometry.to_points(a), isometry.to_points(b)
+    pa, pb = to_points(a), to_points(b)
     assert sorted(pa) == list(range(q * n))
-    assert compose_points(pa, pb) == isometry.to_points(gc.compose(a, b))
+    assert compose_points(pa, pb) == to_points(gc.compose(a, b))
     assert from_points(pa, q) == a
     assert from_points(compose_points(pa, pb), q) == gc.compose(a, b)
 
@@ -169,7 +168,7 @@ def test_point_form_composes_like_compose(rnd, q, n):
 @given(st.randoms(use_true_random=False), st.integers(2, 4), st.integers(1, 4))
 def test_point_form_carries_words_to_their_images(rnd, q, n):
     iso = random_isometry(rnd, q, n)
-    points = isometry.to_points(iso)
+    points = to_points(iso)
     x = tuple(rnd.randrange(q) for _ in range(n))
     image = {points[i * q + s] for i, s in enumerate(x)}
     assert image == {j * q + s for j, s in enumerate(iso.apply(x))}
@@ -183,7 +182,7 @@ def test_from_points_rejects_non_isometries():
     with pytest.raises(PreconditionError):
         from_points((0, 1, 2), 2)
     with pytest.raises(IncompatibleError):
-        isometry.to_points(gc.Isometry(gc.Configuration(((0, 1), (0, 1, 2))),
+        to_points(gc.Isometry(gc.Configuration(((0, 1), (0, 1, 2))),
                                        gc.Equivalence((0, 1))))
     with pytest.raises(IncompatibleError):
         compose_points((0, 1), (0, 1, 2, 3))
