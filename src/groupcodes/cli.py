@@ -72,28 +72,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="canonical decomposition into indecomposables")
     p.add_argument("input")
-    _options(p, "--format", "--max-partition-bits", "--max-search")
+    _options(p, "--max-partition-bits", "--max-search")
 
     p = sub.add_parser("aut", help="automorphism group of a group code")
     p.add_argument("input")
     p.add_argument("--with-structure", action="store_true",
                    help="also report the isotypes with the automorphism order of "
                         "each representative, and check the product formula")
-    _options(p, "--format", "--max-partition-bits", "--max-search")
+    _options(p, "--max-partition-bits", "--max-search")
 
     p = sub.add_parser("iso", help="isomorphism test between two codes")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    _options(p, "--format", "--max-search")
+    _options(p, "--max-search")
 
     p = sub.add_parser("interleave", help="cyclic rearrangement of copies of a cyclic group code")
     p.add_argument("input")
     p.add_argument("--copies", type=int, required=True)
-    _options(p, "--format")
+    _options(p)
 
     p = sub.add_parser("join", help="componentwise bundle of cyclic group codes over the product group")
     p.add_argument("inputs", nargs="+")
-    _options(p, "--format")
+    _options(p)
 
     p = sub.add_parser("selftest", help="run the theorem-by-theorem property corpus")
     p.add_argument("--trials", type=int, default=100,
@@ -121,11 +121,8 @@ def _load_code(path: str) -> Code:
     return serialize.code_from_json(doc)
 
 
-def _emit(doc: Any, fmt: str, text_renderer=None) -> None:
-    if fmt == "json" or text_renderer is None:
-        sys.stdout.write(serialize.dumps(doc))
-    else:
-        sys.stdout.write(text_renderer(doc))
+def _emit(doc: Any) -> None:
+    sys.stdout.write(serialize.dumps(doc))
 
 
 def _analysis_text(doc: dict) -> str:
@@ -197,7 +194,8 @@ def cmd_analyze(args: argparse.Namespace, phases: Phases) -> int:
         report["oracle"] = oracle
     report["resource_limits"] = limits
     with phases("report"):
-        _emit(report, args.format, _analysis_text)
+        sys.stdout.write(_analysis_text(report) if args.format == "text"
+                         else serialize.dumps(report))
     return EXIT_RESOURCE if limits else EXIT_OK
 
 
@@ -210,10 +208,10 @@ def cmd_decompose(args: argparse.Namespace, phases: Phases) -> int:
     except ResourceLimitError as err:
         print(f"decomposition aborted: {err}", file=sys.stderr)
         with phases("report"):
-            _emit({"decomposition": None, "certificate": err.certificate}, args.format)
+            _emit({"decomposition": None, "certificate": err.certificate})
         return EXIT_RESOURCE
     with phases("report"):
-        _emit(serialize.decomposition_to_json(dec), args.format)
+        _emit(serialize.decomposition_to_json(dec))
     return EXIT_OK
 
 
@@ -235,7 +233,7 @@ def cmd_aut(args: argparse.Namespace, phases: Phases) -> int:
                    "generators": [serialize.gc_witness_to_json(g)
                                   for g in err.partial_generators]}
         with phases("report"):
-            _emit(partial, args.format)
+            _emit(partial)
         return EXIT_RESOURCE
     with phases("report"):
         sys.stdout.write(serialize.aut_report_dumps(report))
@@ -257,7 +255,7 @@ def cmd_iso(args: argparse.Namespace, phases: Phases) -> int:
     except IncompatibleError as err:
         raise SchemaError(str(err)) from err
     with phases("report"):
-        _emit({"isomorphic": doc is not None, "witness": doc}, args.format)
+        _emit({"isomorphic": doc is not None, "witness": doc})
     return EXIT_OK if doc is not None else EXIT_NEGATIVE
 
 
@@ -277,7 +275,7 @@ def cmd_interleave(args: argparse.Namespace, phases: Phases) -> int:
                "rows": rows,
                # interleave_pairs raises TheoremViolationError unless out is cyclic
                "is_cyclic": True}
-        _emit(doc, args.format)
+        _emit(doc)
     return EXIT_OK
 
 
@@ -292,7 +290,7 @@ def cmd_join(args: argparse.Namespace, phases: Phases) -> int:
     with phases("compute"):
         out = join(codes)
     with phases("report"):
-        _emit({"result": serialize.code_to_json(out)}, args.format)
+        _emit({"result": serialize.code_to_json(out)})
     return EXIT_OK
 
 

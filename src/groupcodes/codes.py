@@ -125,9 +125,6 @@ class Code:
     def __contains__(self, w: Word) -> bool:
         return w in self.word_set
 
-    def is_group_code(self) -> bool:
-        return isinstance(self, GroupCode)
-
     def identity_word(self) -> Word:
         return (self.alphabet.identity,) * self.length
 

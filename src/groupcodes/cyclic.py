@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import Code, GroupCode, Word
-from .decompose import DEFAULT_PARTITION_BITS, Decomposition, decompose
+from .decompose import DEFAULT_PARTITION_BITS, Decomposition, decompose, factorize
 from .errors import IncompatibleError, PreconditionError, TheoremViolationError
 from .groups import encode_mixed_radix, product_group
 from .isometry import Equivalence
@@ -115,20 +115,6 @@ class CyclicReport:
     shift_orbit_sizes: tuple[int, ...]
     gcd_certificate: GcdCertificate | None = None
     component_structure: ComponentStructure | None = None
-
-
-def factorize(m: int) -> dict[int, int]:
-    """Prime factorization by trial division (fine for desk-scale sizes)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def _require_cyclic_group_code(C: Code) -> GroupCode:

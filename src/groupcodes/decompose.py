@@ -29,18 +29,20 @@ CERT_MDS = "mds-nontrivial"
 CERT_PERFECT = "perfect-nontrivial"
 CERT_CONSTANT_WEIGHT = "constant-weight-nondegenerate"
 CERT_PRIME = "prime-cardinality-nondegenerate"
-CERTIFICATE_PRIORITY = (CERT_MDS, CERT_PERFECT, CERT_CONSTANT_WEIGHT, CERT_PRIME)
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+def factorize(m: int) -> dict[int, int]:
+    """Prime factorization by trial division (fine for desk-scale sizes)."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= m:
-        if m % d == 0:
-            return False
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
         d += 1
-    return True
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
 
 
 def applicable_certificates(C: Code) -> tuple[str, ...]:
@@ -61,7 +63,7 @@ def applicable_certificates(C: Code) -> tuple[str, ...]:
     if (isinstance(C, GroupCode) and not degenerate
             and constant_weight_group(C) is not None):
         tags.append(CERT_CONSTANT_WEIGHT)
-    if not degenerate and _is_prime(C.size):
+    if not degenerate and factorize(C.size) == {C.size: 1}:
         tags.append(CERT_PRIME)
     return tuple(tags)
 

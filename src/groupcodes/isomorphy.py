@@ -17,21 +17,23 @@ indecomposable) by a coset search (Leon, J. Symbolic Comput. 12, 1991;
 ``_IsoSearch.run(cosets=True)``): it walks the identity path of the
 search tree and runs one find-one search under each other child of its
 nodes, since the leaves below a child are a coset of the stabilizer below
-it and one leaf represents them. The leaves follow by composition, in the
-order of the find-all search (``_IsoSearch.dfs_leaves``), and each
-representative leaf is conjugated onto every block of its isotype by the
-decomposition's witnesses (``_conjugated``); a block whose witness is the
-identity, as decompose gives every representative, is not conjugated: its
-leaves are leaves of C as they are. A group within the explicit cap is
-built element by element as (σ, maps) pairs (``_explicit_elements``): the
-conjugated leaves with their bijective extensions, combined over every
-block permutation and sorted once, so no leaf list of the whole code is
-built. Larger groups read the whole code's leaves, combined the same way
-and sorted into the find-all order (``_assemble``). Either way the greedy
-generators come from a walk down the stabilizer chain of that order
-(``_chain_picks``), with no closure of the group. The find-all search, the
-element by element route and the closure greedies stay in the tests as
-oracles.
+it and one leaf represents them. A leaf's restrictions are the objects of
+the candidate lists (``_Restriction``), which carry their list positions,
+so composites, conjugates and orders go by them, never by the id of a dict.
+The leaves follow by composition, in the order of the find-all search
+(``_IsoSearch.dfs_leaves``), and each representative leaf is conjugated
+onto every block of its isotype by the decomposition's witnesses
+(``_conjugated``); a block whose witness is the identity, as decompose
+gives every representative, is not conjugated: its leaves are leaves of
+C as they are. A group within the explicit cap is built element by
+element as (σ, maps) pairs (``_explicit_elements``): the conjugated leaves
+with their bijective extensions, combined over every block permutation
+and sorted once, so no leaf list of the whole code is built. Larger groups
+read the whole code's leaves, combined the same way and sorted into the
+find-all order (``_assemble``). Either way the greedy generators come from
+a walk down the stabilizer chain of that order (``_chain_picks``), with no
+closure of the group. The find-all search, the element by element route
+and the closure greedies stay in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -122,6 +124,20 @@ def _complement(values: tuple[int, ...], q: int) -> tuple[int, ...]:
     return tuple(x for x in range(q) if x not in present)
 
 
+class _Restriction(dict):
+    """A candidate restriction pi_i(C) -> pi_j(D) of ``_IsoSearch._candidate_maps``,
+    with ``pos``, its position in its list, hashed by identity. That agrees
+    with equality: its keys and values, pi_i(C) and pi_j(D), key its list,
+    so two candidate lists never hold equal maps, nor one list a map twice."""
+
+    __slots__ = ("pos",)
+    __hash__ = object.__hash__
+
+    def __init__(self, fmap: dict[int, int], pos: int) -> None:
+        super().__init__(fmap)
+        self.pos = pos
+
+
 class _IsoSearch:
     """Coordinate-interleaved backtracking over (σ, f) normal forms.
 
@@ -130,7 +146,8 @@ class _IsoSearch:
     prefix tests against D are integer set lookups. The probes and D's
     prefixes are built by ``run``, in either mode; leaf expansion
     and composition need only the projections and the candidate maps,
-    which searches over one alphabet may share through ``maps``.
+    which searches over one alphabet may share through ``maps``, as
+    ``_Restriction`` objects that carry their list positions.
     """
 
     def __init__(self, C: Code, D: Code, *, group_mode: bool,
@@ -147,14 +164,15 @@ class _IsoSearch:
         self.proj_out = D.coordinate_projections
         self.comp_in = [_complement(h, self.q) for h in self.proj_in]
         self.comp_out = [_complement(h, self.q) for h in self.proj_out]
-        self._map_cache: dict[tuple[int, int], list[tuple[dict[int, int], list[int]]]] = {}
+        self._map_cache: dict[tuple[int, int], list[tuple[_Restriction, list[int]]]] = {}
         self._maps_by_projections: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = (
             {} if maps is None else maps)
-        self._extension_cache: dict[int, tuple] = {}
-        self._indices: dict[int, dict[tuple[int, ...], tuple[int, dict[int, int]]]] = {}
-        self._composed: dict[tuple[int, int], int] = {}
+        self._extension_cache: dict[_Restriction, list[tuple[int, ...]]] = {}
+        self._indices: dict[tuple[tuple[int, ...], tuple[int, ...]],
+                            dict[tuple[int, ...], _Restriction]] = {}
+        self._composed: dict[tuple[_Restriction, _Restriction], _Restriction] = {}
 
-    def _candidate_maps(self, i: int, j: int) -> list[tuple[dict[int, int], list[int]]]:
+    def _candidate_maps(self, i: int, j: int) -> list[tuple[_Restriction, list[int]]]:
         """Candidate restrictions pi_i(C) -> pi_j(D), each also as a lookup list."""
         key = (i, j)
         if key not in self._map_cache:
@@ -166,11 +184,11 @@ class _IsoSearch:
                 else:
                     maps = _all_bijections(*projections)
                 pairs = []
-                for fmap in maps:
+                for pos, fmap in enumerate(maps):
                     table = [-1] * self.q
                     for a, b in fmap.items():
                         table[a] = b
-                    pairs.append((fmap, table))
+                    pairs.append((_Restriction(fmap, pos), table))
                 self._maps_by_projections[projections] = pairs
             self._map_cache[key] = self._maps_by_projections[projections]
         return self._map_cache[key]
@@ -321,7 +339,7 @@ class _IsoSearch:
                     self.found.append(leaf)
         return identity, found
 
-    def _identity_restriction(self, j: int) -> dict[int, int]:
+    def _identity_restriction(self, j: int) -> _Restriction:
         """The identity pi_j(C) -> pi_j(D), for D = C: first in
         ``_candidate_maps(j, j)``, which is sorted by images."""
         f, table = self._candidate_maps(j, j)[0]
@@ -331,16 +349,16 @@ class _IsoSearch:
                 f"is not the identity; the candidate lists are misordered")
         return f
 
-    def _canonical(self, i: int, j: int, table: list[int]) -> tuple[int, dict[int, int]]:
-        """The position and the dict of the restriction pi_i(C) -> pi_j(D)
-        given as a lookup list in ``_candidate_maps(i, j)``; a map missing
-        from it is no subgroup isomorphism, which no composite or conjugate
-        of automorphisms can be."""
-        cands = self._candidate_maps(i, j)
-        index = self._indices.get(id(cands))
+    def _canonical(self, i: int, j: int, table: list[int]) -> _Restriction:
+        """The restriction pi_i(C) -> pi_j(D) given as a lookup list, as
+        ``_candidate_maps(i, j)`` lists it; a map missing from that list is
+        no subgroup isomorphism, which no composite or conjugate of
+        automorphisms can be."""
+        projections = (self.proj_in[i], self.proj_out[j])
+        index = self._indices.get(projections)
         if index is None:
-            index = self._indices[id(cands)] = {
-                tuple(tb): (pos, f) for pos, (f, tb) in enumerate(cands)}
+            index = self._indices[projections] = {
+                tuple(tb): f for f, tb in self._candidate_maps(i, j)}
         hit = index.get(tuple(table))
         if hit is None:
             raise TheoremViolationError(
@@ -348,19 +366,11 @@ class _IsoSearch:
                 f"is no subgroup isomorphism; the automorphism assembly is buggy")
         return hit
 
-    def _restriction_index(self) -> dict[int, tuple[dict[int, int], int]]:
-        """Every candidate restriction listed so far in the candidate lists
-        this search shares (``_candidate_maps``), by the id of its dict: the
-        dict and its position in its list. The lists hold every dict, so
-        the ids stay unique; a list made after this call is not in it."""
-        return {id(f): (f, k) for cands in self._maps_by_projections.values()
-                for k, (f, _) in enumerate(cands)}
-
     def dfs_leaves(self, identity: Leaf, found: list[list[Leaf]]) -> list[Leaf]:
         """Every leaf of Aut(C) from the coset search, in the find-all
         search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1, ...)
         with k_j the position of restriction j in ``_candidate_maps(σ(j),
-        j)``.
+        j)``, which the restriction carries.
 
         With T_j the identity and the leaves found at depth j, a leaf
         factors uniquely as t_(n-1)∘...∘t_0 with t_j in T_j, and its entry
@@ -368,26 +378,23 @@ class _IsoSearch:
         coordinates 0..j. So the products x_j are built level by level, one
         composition per node of this coset tree, the children of each
         parent ordered by their entry j and kept together."""
-        # restrictions go by the ids of their dicts
-        known = self._restriction_index()
         times = self._times
-        current = [(identity[0], tuple(map(id, identity[1])))]
-        for j, reps in enumerate(found):
-            level = [(sigma, tuple(map(id, restr))) for sigma, restr in reps]
+        current = [identity]
+        for j, level in enumerate(found):
             if not level:
                 continue
-            products: list[tuple] = []
+            products: list[Leaf] = []
             for x in current:
-                children = [x] + [times(t, x, known) for t in level]
-                children.sort(key=lambda y: (y[0][j], known[y[1][j]][1]))
+                children = [x] + [times(t, x) for t in level]
+                children.sort(key=lambda y: (y[0][j], y[1][j].pos))
                 products += children
             current = products
-        return [(sigma, tuple([known[a][0] for a in restr])) for sigma, restr in current]
+        return current
 
-    def _times(self, h: tuple, g: tuple, known: dict[int, tuple[dict[int, int], int]]) -> tuple:
-        """h∘g (g applied first) for leaves with restrictions as ids, for
-        D = C: σ(t) = σ_g(σ_h(t)), and restriction t is f_h,t∘f_g,σ_h(t),
-        the canonical dict, found by its table once and then cached."""
+    def _times(self, h: Leaf, g: Leaf) -> Leaf:
+        """h∘g (g applied first) for leaves, for D = C: σ(t) = σ_g(σ_h(t)),
+        and restriction t is f_h,t∘f_g,σ_h(t), the canonical restriction,
+        found by its table once and then cached."""
         h_sigma, h_restr = h
         g_sigma, g_restr = g
         sigma = tuple(map(g_sigma.__getitem__, h_sigma))
@@ -395,22 +402,17 @@ class _IsoSearch:
         get = self._composed.get
         restr = tuple(map(get, pairs))
         if None in restr:  # a product not met before
-            restr = tuple([get(pair) or self._product(i, t, *pair, known)
+            restr = tuple([get(pair) or self._product(i, t, *pair)
                            for t, (i, pair) in enumerate(zip(sigma, pairs))])
         return sigma, restr
 
-    def _product(self, i: int, t: int, a: int, b: int,
-                 known: dict[int, tuple[dict[int, int], int]]) -> int:
-        """The id of a∘b, given by ids, as the canonical restriction
-        pi_i(C) -> pi_t(C), entered in ``known`` and cached."""
-        fa, fb = known[a][0], known[b][0]
+    def _product(self, i: int, t: int, fa: _Restriction, fb: _Restriction) -> _Restriction:
+        """fa∘fb as the canonical restriction pi_i(C) -> pi_t(C), cached."""
         table = [-1] * self.q
         for x in self.proj_in[i]:
             table[x] = fa[fb[x]]
-        pos, f = self._canonical(i, t, table)
-        known[id(f)] = (f, pos)
-        self._composed[a, b] = id(f)
-        return id(f)
+        f = self._composed[fa, fb] = self._canonical(i, t, table)
+        return f
 
     # leaf expansion -------------------------------------------------
 
@@ -425,23 +427,22 @@ class _IsoSearch:
             f[a] = b
         return tuple(f)
 
-    def _extensions(self, i: int, j: int, restriction: dict[int, int]) -> list[tuple[int, ...]]:
+    def _extensions(self, i: int, j: int, restriction: _Restriction) -> list[tuple[int, ...]]:
         """Every bijective extension f of a restriction pi_i(C) -> pi_j(D) to
         the whole alphabet, sorted; cached, since leaves share restrictions.
 
-        A restriction dict belongs to the candidate list of one pair of
+        A restriction belongs to the candidate list of one pair of
         projections (``_candidate_maps``), which fixes both complements, so
-        the dict alone keys its extensions."""
-        # the entry holds the restriction itself, so its id stays unique
-        entry = self._extension_cache.get(id(restriction))
-        if entry is None:
+        the restriction alone keys its extensions."""
+        extensions = self._extension_cache.get(restriction)
+        if extensions is None:
             # permutations of the sorted complement come in lexicographic order
-            entry = self._extension_cache[id(restriction)] = (
-                restriction, [self._extension(i, restriction, image)
-                              for image in itertools.permutations(self.comp_out[j])])
-        return entry[1]
+            extensions = self._extension_cache[restriction] = [
+                self._extension(i, restriction, image)
+                for image in itertools.permutations(self.comp_out[j])]
+        return extensions
 
-    def witness_from_leaf(self, leaf: tuple[tuple[int, ...], tuple[dict[int, int], ...]]) -> Isometry:
+    def witness_from_leaf(self, leaf: Leaf) -> Isometry:
         """Canonical extension: complements map onto each other in sorted order."""
         sigma, restr = leaf
         maps = tuple(self._extension(sigma[j], restr[j], self.comp_out[j]) for j in range(self.n))
@@ -744,14 +745,14 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
     """Each representative leaf a carried from block k_in onto block k_out
     of its isotype, w_out∘a∘w_in^-1 with w the isotype witnesses: per
     (k_in, k_out), one tuple per leaf of its σ and its restrictions (C's
-    canonical dicts, ``_IsoSearch._canonical``), each over the coordinates
-    j of block k_out in order.
+    canonical restrictions, ``_IsoSearch._canonical``), each over the
+    coordinates j of block k_out in order.
 
     A block whose witness is the identity and whose component has the
     representative's own words is not conjugated: a leaf carried between
-    two such blocks has σ = block_in[τ] and keeps its restriction dicts,
-    which are C's, since the component searches and the search over C
-    share their candidate lists."""
+    two such blocks has σ = block_in[τ] and keeps its restrictions, which
+    are C's, since the component searches and the search over C share
+    their candidate lists."""
     q = search.q
     blocks = dec.partition.blocks
     ident = tuple(range(q))
@@ -761,9 +762,10 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
     inv_perms = [sorted(range(len(perm)), key=perm.__getitem__) for perm in perms]
     inv_maps = [[sorted(range(q), key=f.__getitem__) for f in fs] for fs in fmaps]
     parts: dict[tuple[int, int], list[tuple]] = {}
-    # g∘f∘h by the ids of g, f and h, which this call holds, and the
-    # projections of its coordinates i and j, which fix its candidate list
-    composed: dict[tuple[int, int, int, int, int], dict[int, int]] = {}
+    # g∘f∘h by the ids of the witness maps g and h, which this call holds,
+    # the restriction f, and the projections of its coordinates i and j,
+    # which fix its candidate list
+    composed: dict[tuple[int, _Restriction, int, int, int], _Restriction] = {}
     projections: dict[tuple[int, ...], int] = {}
     kind_in = [projections.setdefault(p, len(projections)) for p in search.proj_in]
     kind_out = [projections.setdefault(p, len(projections)) for p in search.proj_out]
@@ -789,7 +791,7 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
                     sig = tuple([coords[tau[s]] for s in order])
                     fs = list(map(restr.__getitem__, order))
                     hs_t = list(map(hs.__getitem__, map(tau.__getitem__, order)))
-                    found = list(zip(map(id, gs), map(id, fs), map(id, hs_t),
+                    found = list(zip(map(id, gs), fs, map(id, hs_t),
                                      map(kind_in.__getitem__, sig), kinds))
                     hits = list(map(composed.get, found))
                     for t in [t for t, hit in enumerate(hits) if hit is None]:
@@ -801,7 +803,7 @@ def _conjugated(search: _IsoSearch, dec: "Decomposition",
                             if h[a] in f:
                                 table[a] = g[f[h[a]]]
                         hits[t] = composed[found[t]] = search._canonical(
-                            sig[t], block[t], table)[1]
+                            sig[t], block[t], table)
                     options.append(sig + tuple(hits))
     return parts
 
@@ -842,18 +844,16 @@ def _assemble(search: _IsoSearch, dec: "Decomposition",
     conjugated representative leaves (``_conjugated``), sorted into the
     find-all search's DFS order, lexicographic in (σ(0), k_0, σ(1), k_1,
     ...) with k_j the position of restriction j in ``_candidate_maps(σ(j),
-    j)``: each conjugated leaf is keyed by σ(j)·q! + k_j. One block has
-    C's own leaves, which come in that order."""
+    j)``, which the restriction carries: each conjugated leaf is keyed by
+    σ(j)·q! + k_j. One block has C's own leaves, which come in that order."""
     blocks = dec.partition.blocks
     if len(blocks) == 1:
         return list(rep_leaves[0])
     parts = _conjugated(search, dec, rep_leaves)
-    # read after _conjugated, whose _canonical may list new candidate restrictions
-    known = search._restriction_index()
     span = math.factorial(search.q)  # more candidate maps than any list holds
     for (_, k_out), options in parts.items():
         width = len(blocks[k_out])
-        options[:] = [option + tuple([s * span + known[id(f)][1]
+        options[:] = [option + tuple([s * span + f.pos
                                       for s, f in zip(option[:width], option[width:])])
                       for option in options]
     flats, (sig_of, res_of, key_of) = _combined(dec, parts, 3)
@@ -929,7 +929,6 @@ def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],
     """
     q, n = search.q, search.n
     span = math.factorial(q)  # more candidate maps than any list holds
-    known = search._restriction_index()
     identity = (tuple(range(n)), tuple(map(search._identity_restriction, range(n))))
 
     def act(g: Leaf, entry: int, j: int) -> int:
@@ -940,9 +939,9 @@ def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],
         table = [-1] * q
         for a in search.proj_in[i]:
             table[a] = f[r[a]]
-        return i * span + search._canonical(i, j, table)[0]
+        return i * span + search._canonical(i, j, table).pos
 
-    keys = [lambda leaf, j=j: leaf[0][j] * span + known[id(leaf[1][j])][1] for j in range(n)]
+    keys = [lambda leaf, j=j: leaf[0][j] * span + leaf[1][j].pos for j in range(n)]
     picks = _chain_picks(leaves, identity, keys,
                          [lambda g, v, j=j: act(g, v, j) for j in range(n)], count)
     ident = tuple(range(q))

@@ -219,7 +219,7 @@ def conjugated(search, dec, rep_leaves) -> dict[tuple[int, int], list[tuple]]:
                         for a in search.proj_in[sig[t]]:
                             if h[a] in f:
                                 table[a] = g[f[h[a]]]
-                        dicts.append(search._canonical(sig[t], block[t], table)[1])
+                        dicts.append(search._canonical(sig[t], block[t], table))
                     options.append(sig + tuple(dicts))
     return parts
 

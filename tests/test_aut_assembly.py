@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -336,6 +337,48 @@ def test_s3_sums_match_the_whole_code_search(words):
     assert _explicit_elements(search, parts, rep_leaves) == expansion(search, expected)
 
 
+# candidate restrictions: list positions and identity hashing -------------
+
+def assembled(C):
+    """The search over C, and leaf lists, each with the search whose
+    candidate lists hold its restrictions: each representative's
+    (``dfs_leaves``) and C's (``_assemble``), for C's decomposition and
+    for it with twisted witnesses (``twist``), whose conjugated leaves
+    ``_canonical`` looks up."""
+    dec = gc.decompose(C)
+    if dec.indecomposable:
+        dec = _one_block(C)
+    search, searched, _, _ = _aut_leaves(C, dec, max_nodes=10**6)
+    leaves = [(ks, ks.dfs_leaves(identity, found)) for ks, identity, found in searched]
+    rep_leaves = [kleaves for _, kleaves in leaves]
+    for d in [dec, twist(dec)]:
+        if d is not None:
+            leaves.append((search, _assemble(search, d, rep_leaves)))
+    return search, leaves
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_sums().filter(lambda C: leaf_count(C) <= NODE_BUDGET // 4))
+@example(gc.direct_sum(REP_Z4, REP_Z4))
+def test_leaf_restrictions_are_listed_at_their_positions(C):
+    for search, leaves in assembled(C)[1]:
+        for sigma, restr in leaves:
+            for j, (i, f) in enumerate(zip(sigma, restr)):
+                assert search._candidate_maps(i, j)[f.pos][0] is f
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_sums().filter(lambda C: leaf_count(C) <= NODE_BUDGET // 4))
+@example(gc.direct_sum(REP_Z4, REP_Z4))
+def test_candidate_lists_never_hold_equal_restrictions(C):
+    # the premise of hashing restrictions by identity: no two restrictions
+    # of the lists a search shares are equal, within a list or across lists
+    search = assembled(C)[0]
+    restrictions = [f for cands in search._maps_by_projections.values() for f, _ in cands]
+    event(f"{len(search._maps_by_projections)} candidate lists")
+    assert len({frozenset(f.items()) for f in restrictions}) == len(restrictions)
+
+
 def d_sum(code_d, copies):
     return gc.direct_sum_all([code_d] * copies)
 
@@ -347,6 +390,20 @@ def test_aut_of_d4_assembles_every_leaf(code_d):
     assert search.nodes == 0  # no whole-code search ran
     report = gc.aut_group(C)
     assert report.order == 31104 and report.elements is None
+
+
+def test_one_block_aut_of_d4_builds_no_copy_per_leaf(code_d):
+    # D^4 searched as one block: 31,104 leaves composed from the coset
+    # search, whose restrictions are the candidate lists' own objects
+    C = d_sum(code_d, 4)
+    tracemalloc.start()
+    try:
+        report = gc.aut_group(C, max_bits=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.order == 31104 and report.elements is None
+    assert peak < 13 * 2**20
 
 
 def test_component_cap_reports_only_non_identity_automorphisms(code_d):
