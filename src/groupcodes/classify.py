@@ -7,7 +7,6 @@ floating dimension never feeds a classification.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .codes import (Code, GroupCode, Word, code_distance, hamming_distance, min_distance,
@@ -19,15 +18,21 @@ DEFAULT_ENUMERATION_GATE = 2**16
 
 
 def ball_size(q: int, n: int, r: int) -> int:
-    """Number of words within Hamming distance r of a fixed center.
+    """Number of words within Hamming distance r of a fixed center, the
+    sum of C(n, i)·(q-1)^i over i <= r; r past n clamps to q^n.
 
-    r past n clamps to the full space size q^n.
+    Each term is the one before it times (n-i)·(q-1)/(i+1), an exact
+    division, so the sum costs r multiplications and no binomial.
     """
     if r < 0:
         return 0
     if r >= n:
         return q**n
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(r + 1))
+    total = term = 1
+    for i in range(r):
+        term = term * (n - i) * (q - 1) // (i + 1)
+        total += term
+    return total
 
 
 def is_trivial(C: Code) -> bool:
@@ -72,17 +77,18 @@ def is_perfect(C: Code) -> bool:
     return sphere_packing_tight(p.alphabet_size, p.length, p.size, p.correction_capacity)
 
 
-def perfect_by_enumeration(C: Code, gate: int = DEFAULT_ENUMERATION_GATE,
-                           distance: int | None = None) -> bool:
+def perfect_by_enumeration(C: Code, distance: int | None = None) -> bool:
     """Oracle for is_perfect: walk A^n and demand exactly one codeword per e-ball.
 
     Kept deliberately independent of the sphere-packing arithmetic. The
     radius e comes from ``distance``, when the caller already ran the
-    pairwise scan ``min_distance``, or else from that scan.
+    pairwise scan ``min_distance``, or else from that scan. A space of
+    more than ``DEFAULT_ENUMERATION_GATE`` words raises ResourceLimitError.
     """
     q, n = C.alphabet.order, C.length
-    if q**n > gate:
-        raise ResourceLimitError(f"covering enumeration gated at {gate} words, space has {q**n}")
+    if q**n > DEFAULT_ENUMERATION_GATE:
+        raise ResourceLimitError(f"covering enumeration gated at {DEFAULT_ENUMERATION_GATE} "
+                                 f"words, space has {q**n}")
     e = ((min_distance(C) if distance is None else distance) - 1) // 2
     for x in itertools.product(range(q), repeat=n):
         holders = 0
@@ -106,26 +112,18 @@ def constant_weight_group(C: GroupCode) -> int | None:
     return radii[0] if len(radii) == 1 else None
 
 
-def constant_weight_general(C: Code, *, center_cap: int = DEFAULT_CENTER_CAP,
-                            centers: list[Word] | None = None) -> tuple[Word, int] | None:
+def constant_weight_general(C: Code, *, center_cap: int = DEFAULT_CENTER_CAP) -> tuple[Word, int] | None:
     """Search for a center placing all codewords on one sphere.
 
-    Returns the lexicographically least center of A^n (or the first of a
-    restricted list, if one is supplied) with its radius. A singleton {w}
-    reports (w, 0). The cap applies to q^n, the candidates of A^n.
+    Returns the lexicographically least center of A^n with its radius, or
+    None. A singleton {w} reports (w, 0). Past a singleton, more than
+    ``center_cap`` candidates q^n raise ResourceLimitError.
     """
     if C.size == 1:
         return (C.words[0], 0)
     q, n = C.alphabet.order, C.length
-    if centers is not None:
-        for x0 in centers:
-            first = hamming_distance(C.words[0], x0)
-            if all(hamming_distance(w, x0) == first for w in C.words[1:]):
-                return (tuple(x0), first)
-        return None
     if q**n > center_cap:
-        raise ResourceLimitError(
-            f"{q**n} candidate centers exceed the cap {center_cap}; pass centers= to restrict")
+        raise ResourceLimitError(f"{q**n} candidate centers exceed the cap {center_cap}")
     return _least_center(C)
 
 

@@ -24,8 +24,7 @@ from .classify import (DEFAULT_CENTER_CAP, DEFAULT_ENUMERATION_GATE, classify,
 from .codes import Code, GroupCode, min_distance, min_weight_nonidentity, parameters
 from .cyclic import cyclic_report, interleave_pairs, interleave_permutation, join
 from .decompose import (DEFAULT_PARTITION_BITS, applicable_certificates, decompose)
-from .errors import (GroupCodesError, IncompatibleError, PreconditionError,
-                     ResourceLimitError, SchemaError, TheoremViolationError)
+from .errors import GroupCodesError, ResourceLimitError, SchemaError, TheoremViolationError
 from .isomorphy import DEFAULT_MAX_NODES, aut_group, code_equivalent, gc_isomorphic
 from .phases import Phases
 from . import serialize
@@ -244,16 +243,13 @@ def cmd_iso(args: argparse.Namespace, phases: Phases) -> int:
     with phases("load"):
         A = _load_code(args.input_a)
         B = _load_code(args.input_b)
-    try:
-        with phases("compute"):
-            if isinstance(A, GroupCode) and isinstance(B, GroupCode):
-                witness = gc_isomorphic(A, B, max_nodes=args.max_search)
-                doc = serialize.gc_witness_to_json(witness) if witness else None
-            else:
-                iso = code_equivalent(A, B, max_nodes=args.max_search)
-                doc = serialize.isometry_to_json(iso) if iso else None
-    except IncompatibleError as err:
-        raise SchemaError(str(err)) from err
+    with phases("compute"):
+        if isinstance(A, GroupCode) and isinstance(B, GroupCode):
+            witness = gc_isomorphic(A, B, max_nodes=args.max_search)
+            doc = serialize.gc_witness_to_json(witness) if witness else None
+        else:
+            iso = code_equivalent(A, B, max_nodes=args.max_search)
+            doc = serialize.isometry_to_json(iso) if iso else None
     with phases("report"):
         _emit({"isomorphic": doc is not None, "witness": doc})
     return EXIT_OK if doc is not None else EXIT_NEGATIVE
@@ -318,19 +314,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     phases = Phases()
     try:
         return _COMMANDS[args.command](args, phases)
-    except SchemaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PreconditionError, IncompatibleError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
     except ResourceLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except TheoremViolationError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except GroupCodesError as err:
+    except GroupCodesError as err:  # bad input: schema, precondition, incompatible operands
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except Exception:  # a bug in the program; KeyboardInterrupt and SystemExit pass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .codes import Code, GroupCode, Word
@@ -30,22 +31,40 @@ def is_cyclic(C: Code) -> bool:
     return all(cyclic_shift(w) in C.word_set for w in C.words)
 
 
-def shift_orbit_sizes(C: Code) -> tuple[int, ...]:
-    """Sizes of the rotation-equivalence classes inside C, in word order."""
-    seen: set[Word] = set()
-    sizes: list[int] = []
-    for w in C.words:
-        if w in seen:
+def least_rotation(w: Word) -> Word:
+    """The lexicographically least rotation of w, in O(n) comparisons.
+
+    Every start below j but i has lost to another start. The rotations at
+    i and j are compared on w+w: when they agree on k symbols and then
+    differ, the loser's start and the k after it each lose to the start
+    the same distance after the winner, and the least start above the
+    survivor that has not lost takes the loser's place. When they agree
+    on all n symbols, w has period j - i, so the least rotation is at i.
+    """
+    n = len(w)
+    s = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
             continue
-        cls = set()
-        x = w
-        for _ in range(C.length):
-            if x in C.word_set:
-                cls.add(x)
-            x = cyclic_shift(x)
-        seen |= cls
-        sizes.append(len(cls))
-    return tuple(sizes)
+        if a > b:
+            i, j = j, max(i + k + 1, j + 1)
+        else:
+            j += k + 1
+        k = 0
+    return s[i:i + n]
+
+
+def shift_orbit_sizes(C: Code) -> tuple[int, ...]:
+    """Sizes of the rotation-equivalence classes inside C, in word order.
+
+    Two words are in one class iff they share their least rotation, so
+    the classes are counted by it in one pass, O(|C|·n); ``Counter``
+    keeps each class at its first word.
+    """
+    return tuple(Counter(map(least_rotation, C.words)).values())
 
 
 def interleave_permutation(m: int, copies: int) -> tuple[int, ...]:

@@ -46,7 +46,7 @@ class PreconditionError(GroupCodesError, ValueError):
 
 
 class ResourceLimitError(GroupCodesError):
-    """A search exceeded its configured cap.
+    """A search exceeded its configured cap, so its answer is incomplete.
 
     Partial results computed before the abort may be attached
     (``certificate`` for partition searches, ``partial_generators`` for
@@ -54,10 +54,9 @@ class ResourceLimitError(GroupCodesError):
     """
 
     def __init__(self, message: str, *, certificate: str | None = None,
-                 partial_generators: tuple = (), incomplete: bool = True) -> None:
+                 partial_generators: tuple = ()) -> None:
         self.certificate = certificate
         self.partial_generators = partial_generators
-        self.incomplete = incomplete
         super().__init__(message)
 
 

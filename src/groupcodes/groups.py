@@ -42,9 +42,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -74,19 +71,6 @@ class GroupAutomorphism:
     """A bijection of element indices commuting with the group product."""
 
     mapping: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
-    def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
-        # (self . other)(a) = self(other(a))
-        return GroupAutomorphism(tuple(self.mapping[x] for x in other.mapping))
-
-    def inverse(self) -> "GroupAutomorphism":
-        inv = [0] * len(self.mapping)
-        for a, b in enumerate(self.mapping):
-            inv[b] = a
-        return GroupAutomorphism(tuple(inv))
 
 
 def _validate_table(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -210,11 +210,13 @@ def isometry_group_order(q: int, n: int) -> int:
     return math.factorial(q) ** n * math.factorial(n)
 
 
-def enumerate_isometries(q: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Isometry]:
-    """Yield every isometry of A^n once, lexicographic over (σ, f_1..f_n)."""
+def enumerate_isometries(q: int, n: int) -> Iterator[Isometry]:
+    """Yield every isometry of A^n once, lexicographic over (σ, f_1..f_n);
+    more than ``DEFAULT_ENUMERATION_CAP`` of them raise ResourceLimitError."""
     total = isometry_group_order(q, n)
-    if total > cap:
-        raise ResourceLimitError(f"{total} isometries exceed the enumeration cap {cap}")
+    if total > DEFAULT_ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"{total} isometries exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}")
 
     def gen() -> Iterator[Isometry]:
         if q == 1:

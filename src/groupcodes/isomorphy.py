@@ -725,7 +725,7 @@ def _aut_leaves(C: GroupCode, dec: "Decomposition", *, max_nodes: int
         raise ResourceLimitError(
             f"assembling {count} automorphism search leaves exceeds the cap of "
             f"{max_nodes}; non-identity automorphisms found: {len(lifted)}",
-            partial_generators=_witnesses(search, lifted), incomplete=True)
+            partial_generators=_witnesses(search, lifted))
     return search, searched, tuple(rows), count
 
 
@@ -912,7 +912,7 @@ def _capped(search: _IsoSearch, what: str, found: Sequence[Leaf]) -> ResourceLim
     return ResourceLimitError(
         f"automorphism search of {what} exceeded {search.max_nodes} nodes; "
         f"non-identity automorphisms found: {len(found)}",
-        partial_generators=_witnesses(search, found), incomplete=True)
+        partial_generators=_witnesses(search, found))
 
 
 def _large_order_generators(search: _IsoSearch, leaves: Sequence[Leaf],

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 from .catalog import (binary_repetition, even_weight_code, hamming_7_4_code,
                       repetition_code, sum_zero_code, z4_example_code)
@@ -232,11 +232,8 @@ class CheckResult:
     detail: str
 
 
-def run_selftest(*, seed: int = 0, trials: int = 100, oracle: bool = False,
-                 stream: TextIO | None = None) -> bool:
-    """Run every check, print a pass table, and return overall success."""
-    import sys
-    out = stream if stream is not None else sys.stdout
+def run_selftest(*, seed: int = 0, trials: int = 100, oracle: bool = False) -> bool:
+    """Run every check, print a pass table to stdout, and return overall success."""
     rng = random.Random(seed)
     checks: list[tuple[str, Callable[[], CheckResult]]] = [
         ("isometry-factorization", lambda: check_isometry_factorization(oracle)),
@@ -257,7 +254,7 @@ def run_selftest(*, seed: int = 0, trials: int = 100, oracle: bool = False,
         result = fn()
         all_ok &= result.ok
         status = "PASS" if result.ok else "FAIL"
-        print(f"{status:4s}  {name:32s} {result.detail}", file=out)
+        print(f"{status:4s}  {name:32s} {result.detail}")
     return all_ok
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -11,7 +12,7 @@ from groupcodes import serialize as ser
 from groupcodes.classify import (constant_weight_group, is_degenerate, is_mds, is_perfect,
                                  is_trivial)
 from groupcodes.codes import Code, GroupCode, hamming_distance
-from groupcodes.cyclic import ComponentStructure, is_cyclic
+from groupcodes.cyclic import ComponentStructure, cyclic_shift, is_cyclic
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, CERT_PRIME,
                                   decompose)
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
@@ -329,6 +330,37 @@ def constant_weight_center(C: Code) -> tuple[tuple[int, ...], int] | None:
         if all(hamming_distance(w, x0) == first for w in C.words[1:]):
             return (x0, first)
     return None
+
+
+def ball_size(q: int, n: int, r: int) -> int:
+    """The words within distance r of a center, one binomial per sphere:
+    the oracle for ``classify.ball_size``, which builds each sphere size
+    from the one before it."""
+    if r < 0:
+        return 0
+    if r >= n:
+        return q**n
+    return sum(math.comb(n, i) * (q - 1) ** i for i in range(r + 1))
+
+
+def shift_orbit_sizes(C: Code) -> tuple[int, ...]:
+    """The rotation classes inside C in word order, each found by walking
+    all n rotations of its first word, O(|C|·n²); the oracle for
+    ``cyclic.shift_orbit_sizes``, which counts words by least rotation."""
+    seen: set[tuple[int, ...]] = set()
+    sizes: list[int] = []
+    for w in C.words:
+        if w in seen:
+            continue
+        cls = set()
+        x = w
+        for _ in range(C.length):
+            if x in C.word_set:
+                cls.add(x)
+            x = cyclic_shift(x)
+        seen |= cls
+        sizes.append(len(cls))
+    return tuple(sizes)
 
 
 def applicable_certificates(C: Code) -> tuple[str, ...]:

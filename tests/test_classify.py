@@ -38,6 +38,15 @@ def test_ball_size_matches_enumeration(q, n, r):
     assert gc.ball_size(q, n, r) == ball_by_enumeration(q, n, r)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 300), st.data())
+def test_ball_size_matches_the_binomial_sum(q, n, data):
+    # r < 0 and r >= n take the clamps, the rest the running product
+    r = data.draw(st.one_of(st.integers(-3, -1), st.integers(0, n - 1), st.integers(n, n + 3)))
+    event("r < 0" if r < 0 else "r >= n" if r >= n else "0 <= r < n")
+    assert gc.ball_size(q, n, r) == oracles.ball_size(q, n, r)
+
+
 def test_is_trivial(z2, rep3, z4_code):
     assert gc.is_trivial(gc.full_space(z2, 2))
     assert not gc.is_trivial(rep3)
@@ -96,10 +105,6 @@ def test_constant_weight_general_cap(z2):
     wide = gc.Code.from_words(z2, 22, [(0,) * 22, (1,) * 22])
     with pytest.raises(ResourceLimitError):
         gc.constant_weight_general(wide)
-    # restricted centers bypass the cap; a weight-11 center is equidistant
-    center = (1,) * 11 + (0,) * 11
-    assert gc.constant_weight_general(wide, centers=[center]) == (center, 11)
-    assert gc.constant_weight_general(wide, centers=[(0,) * 21 + (1,)]) is None
 
 
 @st.composite

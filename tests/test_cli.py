@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+import time
 
 import pytest
 
+from groupcodes import cli
 from groupcodes.cli import main
+from groupcodes.errors import (ClosureError, IncompatibleError, InvalidWordError,
+                               PreconditionError, ResourceLimitError, SchemaError,
+                               TheoremViolationError)
 
 Z4_DOC = {"alphabet": {"kind": "cyclic", "modulus": 4}, "length": 3,
           "generators": [[2, 0, 0], [1, 2, 1]], "group": True}
@@ -293,7 +299,6 @@ def test_emitted_code_json_reparses(files, capsys):
 
 
 def test_parser_built_once_leaks_no_state_between_calls(files, capsys):
-    from groupcodes import cli
     calls = [["aut", files["d"], "--with-structure"], ["aut", files["d"]],
              ["analyze", files["z4"], "--format", "text"], ["analyze", files["z4"]],
              ["interleave", files["d"], "--copies", "2"], ["iso", files["d"], files["rep"]],
@@ -417,8 +422,6 @@ def test_equal_components_share_one_distance_scan(tmp_path, capsys, monkeypatch)
 
 @pytest.mark.parametrize("exc", [KeyError("boom"), RecursionError("deep")])
 def test_an_unexpected_exception_is_an_internal_error(files, capsys, monkeypatch, exc):
-    from groupcodes import cli
-
     def crash(args, phases):
         raise exc
 
@@ -432,11 +435,55 @@ def test_an_unexpected_exception_is_an_internal_error(files, capsys, monkeypatch
 
 @pytest.mark.parametrize("exc", [KeyboardInterrupt(), SystemExit(7)])
 def test_interrupts_and_exits_pass_through(files, monkeypatch, exc):
-    from groupcodes import cli
-
     def stop(args, phases):
         raise exc
 
     monkeypatch.setitem(cli._COMMANDS, "analyze", stop)
     with pytest.raises(type(exc)):
         main(["analyze", files["d"]])
+
+
+@pytest.mark.parametrize("exc,status,prefix", [
+    (SchemaError("not an int", field="length"), 2, "error: "),
+    (PreconditionError("needs a cyclic code"), 2, "error: "),
+    (IncompatibleError("lengths 3 and 4"), 2, "error: "),
+    (InvalidWordError("symbol 7 outside Z/2"), 2, "error: "),
+    (ClosureError("not a subgroup", witness=((0, 1),)), 2, "error: "),
+    (ResourceLimitError("search capped"), 3, "error: "),
+    (TheoremViolationError("product formula failed"), 4, "internal error: "),
+    (KeyError("boom"), 4, "internal error:\n"),
+], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else None)
+def test_each_error_type_has_its_exit_code_and_prefix(files, capsys, monkeypatch, exc,
+                                                      status, prefix):
+    def fail(args, phases):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+    assert main(["analyze", files["d"]]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix)
+    if not isinstance(exc, KeyError):
+        assert captured.err == f"{prefix}{exc}\n"
+
+
+# stdout digests recorded from the O(|C|·n²) orbit walk and the
+# binomial-per-sphere ball size, which took over 20 s on each of these
+# codes on a 2-vCPU VM
+@pytest.mark.parametrize("modulus,group,digest", [
+    (2, True, "f37079e7bed28b38484a14a13d59c41902bff4889b8bb26845ca334d343b69fe"),
+    (4, False, "9091f637726306d7845ae01048ff4b3e001cfe37cf36abb7a92f978912f66816"),
+], ids=["binary-repetition", "z4-plain"])
+def test_analyze_is_fast_on_long_codes(tmp_path, capsys, modulus, group, digest):
+    n = 16000
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": modulus}, "length": n,
+                             "codewords": [[s] * n for s in range(modulus)],
+                             "group": group}), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["analyze", str(p)])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 3  # the decomposition is past --max-partition-bits
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 5

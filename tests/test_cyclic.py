@@ -6,7 +6,7 @@ import dataclasses
 import importlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes import cli, cyclic, isomorphy, serialize
@@ -17,6 +17,11 @@ from groupcodes.selftest import INTERLEAVE_DEMO_PAIRS, cyclic_corpus
 import oracles
 
 dmod = importlib.import_module("groupcodes.decompose")
+
+S3 = gc.group_from_table([[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]])
+ALPHABETS = [gc.cyclic_group(2), gc.cyclic_group(3), gc.cyclic_group(4),
+             gc.klein_four_group(), S3]
 
 # frozen copy of the worked two-copy interleaving of D = {000,110,011,101}
 EXPECTED_PAIRS = {
@@ -50,6 +55,45 @@ def test_shift_orbit_sizes(code_d, rep3):
     assert gc.shift_orbit_sizes(rep3) == (1, 1)
     for C in (code_d, rep3):
         assert sum(gc.shift_orbit_sizes(C)) == C.size
+
+
+@st.composite
+def rotation_codes(draw):
+    """A code over Z/2, Z/3, Z/4, V4 or S3 of length at most 6 (4 for a
+    group code over a group of order 4 or 6): random words, words that
+    repeat a shorter period, either with some of their rotations, as a
+    plain code or the group code they generate; the cyclic group code
+    their rotations generate; or a singleton, plain or the identity."""
+    G = draw(st.sampled_from(ALPHABETS))
+    kind = draw(st.sampled_from(["random", "periodic", "group", "cyclic", "singleton"]))
+    event(kind)
+    n = draw(st.integers(1, 4 if kind in ("group", "cyclic") and G.order >= 4 else 6))
+    symbols = st.integers(0, G.order - 1)
+    if kind == "singleton":
+        if draw(st.booleans()):
+            return gc.GroupCode.from_words(G, n, [(G.identity,) * n])
+        return gc.Code.from_words(G, n, [draw(st.tuples(*[symbols] * n))])
+    if kind == "periodic":
+        p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+        words = [b * (n // p) for b in draw(st.lists(st.tuples(*[symbols] * p),
+                                                     min_size=1, max_size=4))]
+    else:
+        words = draw(st.lists(st.tuples(*[symbols] * n), min_size=1, max_size=8))
+    if kind == "cyclic":
+        return gc.generate_group_code(G, n, [w[k:] + w[:k] for w in words[:2] for k in range(n)])
+    words += [w[k:] + w[:k] for w in words
+              for k in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    if kind == "group" or (kind == "periodic" and draw(st.booleans())):
+        return gc.generate_group_code(G, n, words[:2])
+    return gc.Code.from_words(G, n, words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_codes())
+def test_shift_orbit_sizes_match_the_rotation_walk(C):
+    assert gc.shift_orbit_sizes(C) == oracles.shift_orbit_sizes(C)
+    for w in C.words:
+        assert cyclic.least_rotation(w) == min(w[k:] + w[:k] for k in range(C.length))
 
 
 def test_interleave_permutation_formula():

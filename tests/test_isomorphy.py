@@ -180,9 +180,8 @@ def test_aut_group_large_order_generators_path(z4):
 
 
 def test_aut_group_resource_cap(code_d):
-    with pytest.raises(ResourceLimitError) as err:
+    with pytest.raises(ResourceLimitError):
         gc.aut_group(gc.direct_sum(code_d, code_d), max_nodes=5)
-    assert err.value.incomplete
 
 
 def test_verify_block_preservation_identity_and_swap(code_d):
