@@ -22,7 +22,7 @@ from .errors import (ClosureError, GroupCodesError, IncompatibleError, InvalidWo
                      NotAGroupError, PreconditionError, ResourceLimitError, SchemaError,
                      TheoremViolationError)
 from .groups import (FiniteGroup, GroupAutomorphism, automorphisms, cyclic_group,
-                     euler_totient, group_from_table, klein_four_group, product_group)
+                     group_from_table, klein_four_group, product_group)
 from .isometry import (Configuration, Equivalence, Isometry, apply_pull, apply_push,
                        apply_to_code, compose, enumerate_isometries, from_permutation,
                        identity_isometry, inverse, isometry_group_order,

@@ -35,6 +35,8 @@ EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+MAX_INPUT_BYTES = 2**23  # 8 MiB: 50 times the largest benchmark input, parsed in ~31 MiB
+
 
 # the shared options, each given only to the verbs whose command reads it
 _OPTIONS: dict[str, dict[str, Any]] = {
@@ -111,10 +113,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_code(path: str) -> Code:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:  # at most one byte past the limit, which tells a longer file
+            data = bytearray()  # in blocks: one read of the limit would allocate all of it
+            while block := fh.read(min(2**16, MAX_INPUT_BYTES + 1 - len(data))):
+                data += block
+        if len(data) > MAX_INPUT_BYTES:
+            raise SchemaError(f"{path}: input files are limited to {MAX_INPUT_BYTES} bytes")
+        doc = json.loads(data.decode("utf-8"))
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
     return serialize.code_from_json(doc)

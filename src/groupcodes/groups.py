@@ -13,7 +13,6 @@ for elements of G and words of G^n alike; and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
@@ -184,7 +183,7 @@ class CosetClosure:
     (``element_closure``), one column per coordinate for words of G^n
     (``word_closure``), or ``itemgetter(*t)`` for permutations of points,
     as in the closure greedy that the tests keep as the oracle of
-    ``isomorphy._chain_picks``. A generator outside the current subgroup H
+    ``autgroup._chain_picks``. A generator outside the current subgroup H
     extends it by the right cosets H·t, where t = r·s runs over coset
     representatives r times generators s, so every new element is
     multiplied out exactly once. Growth stops as soon as the closure holds
@@ -303,8 +302,3 @@ def automorphisms(G: FiniteGroup, max_order: int = DEFAULT_AUTOMORPHISM_ORDER_CA
     elements = tuple(G.elements())
     return [GroupAutomorphism(tuple(m.values()))
             for m in subgroup_isomorphisms(G, elements, elements)]
-
-
-def euler_totient(m: int) -> int:
-    """Count of 1 <= k <= m coprime to m (reference value for Aut(Z/m))."""
-    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)

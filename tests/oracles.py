@@ -19,8 +19,8 @@ from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLim
                                TheoremViolationError)
 from groupcodes.isometry import Configuration, Equivalence, Isometry, compose
 from groupcodes.groups import CosetClosure
-from groupcodes.isomorphy import (AutGroupReport, ElementPair, GroupCodeIso, Leaf,
-                                  _symmetric_generators, gc_isomorphic)
+from groupcodes.autgroup import _symmetric_generators
+from groupcodes.isomorphy import AutGroupReport, ElementPair, GroupCodeIso, Leaf, gc_isomorphic
 
 
 def mul_closure(gens: Sequence[Isometry], *, cap: int | None = None) -> set[Isometry]:
@@ -48,7 +48,7 @@ def greedy_picks(points: Iterable[tuple[int, ...]], degree: int, size: int) -> l
     ``itemgetter(*b)(a)`` (bare on one point, where none is added): the index
     of each element not generated by the ones taken before it, read lazily
     and only until the group is generated. The closure route that
-    ``isomorphy._chain_picks`` replaced."""
+    ``autgroup._chain_picks`` replaced."""
     closure = CosetClosure(tuple(range(degree)), lambda t: itemgetter(*t))
     return closure.greedy(points, size)
 
@@ -67,7 +67,7 @@ def large_order_generators(search, leaves: Sequence[Leaf]) -> tuple[Isometry, ..
     order: greedy generators of the leaves' action on the points (i, a), a
     in pi_i(C), closed by ``greedy_picks``, as canonical leaf witnesses,
     plus two-element generator sets of each symmetric factor of the kernel.
-    The closure route of ``isomorphy._large_order_generators``."""
+    The closure route of ``autgroup._large_order_generators``."""
     q, n = search.q, search.n
     # the number of point (i, a), a in pi_i(C), indexed by i·q + a
     number = [0] * (q * n)
@@ -195,7 +195,7 @@ def conjugated(search, dec, rep_leaves) -> dict[tuple[int, int], list[tuple]]:
     block conjugated, whatever its witness: per (k_in, k_out), one tuple
     per leaf of its σ and its restrictions (C's canonical dicts), each over
     the coordinates j of block k_out in order. The oracle for
-    ``isomorphy._conjugated``, which carries the leaves between blocks
+    ``autgroup._conjugated``, which carries the leaves between blocks
     with the identity witness as they are."""
     q = search.q
     blocks = dec.partition.blocks
@@ -229,7 +229,7 @@ def direct_elements(search, dec, rep_leaves) -> list[ElementPair]:
     """Every automorphism of C as (σ, maps), sorted: each conjugated
     representative leaf (``conjugated``) with every bijective extension of
     its restrictions, written into place for every block permutation
-    within each isotype. The oracle for ``isomorphy._explicit_elements``."""
+    within each isotype. The oracle for ``autgroup._explicit_elements``."""
     blocks = dec.partition.blocks
     expanded = {}
     for (k_in, k_out), options in conjugated(search, dec, rep_leaves).items():

@@ -1,10 +1,10 @@
 """Differential tests of the automorphism group built from coset
 searches (``_IsoSearch.run(cosets=True)``) and the decomposition
-(``isomorphy._aut_leaves``, ``_assemble``, ``_explicit_elements``) against
+(``autgroup._aut_leaves``, ``_assemble``, ``_explicit_elements``) against
 the find-all search over the whole code (``oracles.find_all_leaves``),
 its oracle, of the explicit group against the element by element
 route (``oracles.direct_elements``, ``pair_picks``, ``ElementText``), and
-of the generators' chain walk (``isomorphy._chain_picks``) against the
+of the generators' chain walk (``autgroup._chain_picks``) against the
 closure greedies (``oracles.greedy_picks``, ``large_order_generators``)."""
 
 from __future__ import annotations
@@ -24,8 +24,9 @@ from groupcodes.catalog import binary_repetition, hamming_7_4_code
 from groupcodes.errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from groupcodes.groups import CosetClosure
 from groupcodes.isometry import Isometry
-from groupcodes.isomorphy import (GroupCodeIso, _assemble, _aut_leaves, _chain_picks,
-                                  _explicit_elements, _IsoSearch, _one_block, _pair_keys)
+from groupcodes.autgroup import (_assemble, _aut_leaves, _chain_picks, _explicit_elements,
+                                 _one_block, _pair_keys)
+from groupcodes.isomorphy import GroupCodeIso, _IsoSearch
 from groupcodes.phases import Phases
 from oracles import (aut_group_from_leaves, aut_report_to_json, direct_elements,
                      element_report_text, find_all_leaves, greedy_picks, inverse_points,

@@ -86,6 +86,35 @@ def test_analyze_invalid_json_diagnostic(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [json.dumps(D_DOC)[:-1].encode() + b', "label": "\xff"}',
+                                 json.dumps(D_DOC).encode("utf-16")],
+                         ids=["byte-ff-in-a-label", "utf-16-with-bom"])
+@pytest.mark.parametrize("verb", [["analyze"], ["decompose"], ["aut"], ["iso", "{path}"],
+                                  ["interleave", "--copies", "2"], ["join"]],
+                         ids=lambda verb: verb[0])
+def test_input_that_is_not_utf8_is_malformed_input(tmp_path, capsys, raw, verb):
+    p = tmp_path / "code.json"
+    p.write_bytes(raw)
+    argv = [verb[0], str(p)] + [arg.format(path=p) for arg in verb[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: not UTF-8 text:") and "Traceback" not in err
+
+
+def test_input_over_the_byte_limit_is_refused_before_parsing(tmp_path, capsys, monkeypatch):
+    data = json.dumps(D_DOC).encode()
+    p = tmp_path / "code.json"
+    p.write_bytes(data)
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(data))
+    assert main(["aut", str(p)]) == 0  # a file at the limit loads
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", len(data) - 1)
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("parsed"))
+    assert main(["aut", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {p}: input files are limited to {len(data) - 1} bytes\n")
+
+
 def test_analyze_resource_limit_partial_report(files, capsys):
     code, doc = run_json(capsys, ["analyze", files["d"], "--max-partition-bits", "2"])
     assert code == 3

@@ -1,5 +1,6 @@
-"""What the program loads: never numpy, and the self test only for its
-verb; each run check runs in a fresh interpreter."""
+"""What the program loads: never numpy, the self test only for its verb,
+and the automorphism assembly only for `aut`; each run check runs in a
+fresh interpreter."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC.parent / "perfbench"))
+import gen  # noqa: E402
 
 D = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
 
@@ -138,3 +141,38 @@ def test_no_verb_loads_numpy_above_64_words_and_packed_kernels_match_the_tuple_p
         "for name in ('groupcodes.codes', 'groupcodes.decompose'):\n"
         "    importlib.import_module(name).PACKED_ABOVE_WORDS = 10**9\n")), json.dumps(argvs)))
     assert tuples == got
+
+
+LOADED_RUN = """
+import contextlib, io, json, sys
+import groupcodes.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = groupcodes.cli.main(sys.argv[1:])
+print(json.dumps([code, "groupcodes.autgroup" in sys.modules]))
+"""
+
+
+def test_only_aut_loads_the_automorphism_assembly(tmp_path):
+    def first(workload: str, verb: str) -> list[str]:
+        req = next(r for r in gen.Stream(workload, 1).round(0) if r.verb == verb)
+        paths = []
+        for j, doc in enumerate(req.docs):
+            paths.append(str(tmp_path / f"{verb}-{j}.json"))
+            Path(paths[-1]).write_text(gen.dumps(doc), encoding="utf-8")
+        return [verb] + paths + req.flags
+
+    aut = first("aut-search", "aut")
+    argvs = [first("analyze-mix", "analyze"), first("decompose-large", "decompose"),
+             ["iso", aut[1], aut[1]], first("analyze-mix", "interleave"),
+             first("analyze-mix", "join"), aut]
+    loaded = [json.loads(run(LOADED_RUN, *argv)) for argv in argvs]
+    assert loaded == [[0, False]] * 5 + [[0, True]]
+
+
+def test_the_traced_names_stay_in_isomorphy():
+    # perfbench/tracing.py wraps the public functions of each layer module
+    # and _IsoSearch.run by name; they must stay where it looks
+    from groupcodes import isomorphy
+    for fn in (isomorphy.aut_group, isomorphy.gc_isomorphic, isomorphy._IsoSearch.run):
+        assert fn.__module__ == "groupcodes.isomorphy"
+    assert "run" in vars(isomorphy._IsoSearch)

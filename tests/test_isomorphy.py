@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import groupcodes as gc
 from groupcodes.catalog import repetition_code
 from groupcodes.errors import IncompatibleError, ResourceLimitError
-from groupcodes.isomorphy import _IsoSearch, _large_order_generators, _symmetric_generators
+from groupcodes.autgroup import _large_order_generators, _symmetric_generators
+from groupcodes.isomorphy import _IsoSearch
 from oracles import expand_leaf, find_all_leaves, greedy_generators, mul_closure
 
 
