@@ -14,7 +14,7 @@ for J in ((0,), (1,), (2,)):
     K = tuple(i for i in range(3) if i not in J)
     pj, pk = gc.projection(C, J).size, gc.projection(C, K).size
     print(f"  |pi_{J}| * |pi_{K}| = {pj} * {pk} = {pj * pk}  (needs 8)")
-print("split witness:", gc.is_decomposable(C, use_certificates=False))
+print("split witness:", gc.is_decomposable(C))
 
 # Certificates skip the exponential search when a theorem already decides:
 # nontrivial MDS, nontrivial perfect, nondegenerate constant-weight group
@@ -24,8 +24,9 @@ for code, name in [(binary_repetition(3), "repetition"),
                    (gc.full_space(gc.cyclic_group(2), 2), "full plane")]:
     print(f"{name}: certificate = {gc.indecomposability_certificate(code)}")
 
-# Decomposition recurses on the canonical split and groups the components
-# into isotypes, with a coordinate-permutation witness.
+# Decomposition takes the canonical witness of the rest as a final block,
+# block by block, and groups the components into isotypes, with a
+# coordinate-permutation witness.
 D = even_weight_code(3)
 square = gc.direct_sum(D, D)
 dec = gc.decompose(square)

@@ -40,7 +40,7 @@ for code, name in [(D, "D (|C|=4, n=3)"),
                    (binary_repetition(4), "repetition (|C|=2, n=4)")]:
     print(f"gcd certificate for {name}:", gc.gcd_certificate(code))
 print("absence proves nothing: (Z/2)^3 is decomposable anyway:",
-      gc.is_decomposable(full, use_certificates=False))
+      gc.is_decomposable(full))
 
 # The join bundles equal-length cyclic codes over the product group.
 joined = gc.join([binary_repetition(2), repetition_code(gc.cyclic_group(3), 2)])

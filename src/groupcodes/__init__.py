@@ -17,7 +17,7 @@ from .cyclic import (ComponentStructure, CyclicReport, GcdCertificate, cyclic_re
                      interleave_permutation, is_cyclic, join, shift_orbit_sizes)
 from .decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, CERT_PRIME,
                         Decomposition, Partition, applicable_certificates, decompose,
-                        indecomposability_certificate, is_decomposable, split_test)
+                        indecomposability_certificate, is_decomposable)
 from .errors import (ClosureError, GroupCodesError, IncompatibleError, InvalidWordError,
                      NotAGroupError, PreconditionError, ResourceLimitError, SchemaError,
                      TheoremViolationError)

@@ -38,7 +38,7 @@ from .codes import GroupCode
 from .decompose import Decomposition, Partition
 from .errors import PreconditionError, ResourceLimitError, TheoremViolationError
 from .isometry import Isometry, identity_isometry
-from .isomorphy import ElementPair, GroupCodeIso, Leaf, _IsoSearch
+from .isomorphy import ElementPair, GroupCodeIso, Leaf, _IsoSearch, _Restriction
 
 
 def _chain_picks(items: Sequence, identity: object, keys: Sequence[Callable],
@@ -124,7 +124,7 @@ def _one_block(C: GroupCode) -> Decomposition:
     indecomposables, whose one component is C itself."""
     ident = identity_isometry(C.alphabet.order, C.length)
     return Decomposition(partition=Partition((tuple(range(C.length)),)), components=(C,),
-                         isotypes=((0, 1),), isotype_members=((0,),), witness=ident,
+                         isotype_members=((0,),), witness=ident,
                          certificates=(None,), isotype_witnesses=(ident,))
 
 

@@ -229,10 +229,11 @@ def cmd_aut(args: argparse.Namespace, phases: Phases) -> int:
     if not isinstance(code, GroupCode):
         raise SchemaError("automorphism groups are computed for group codes; set \"group\": true")
     dec = None
-    if args.with_structure:
-        with phases("decompose"):
-            dec = decompose(code, max_bits=args.max_partition_bits, max_nodes=args.max_search)
     try:
+        if args.with_structure:
+            with phases("decompose"):
+                dec = decompose(code, max_bits=args.max_partition_bits,
+                                max_nodes=args.max_search)
         report = aut_group(code, dec, max_nodes=args.max_search,
                            max_bits=args.max_partition_bits, phases=phases)
     except ResourceLimitError as err:
@@ -252,13 +253,19 @@ def cmd_iso(args: argparse.Namespace, phases: Phases) -> int:
     with phases("load"):
         A = _load_code(args.input_a)
         B = _load_code(args.input_b)
-    with phases("compute"):
-        if isinstance(A, GroupCode) and isinstance(B, GroupCode):
-            witness = gc_isomorphic(A, B, max_nodes=args.max_search)
-            doc = serialize.gc_witness_to_json(witness) if witness else None
-        else:
-            iso = code_equivalent(A, B, max_nodes=args.max_search)
-            doc = serialize.isometry_to_json(iso) if iso else None
+    try:
+        with phases("compute"):
+            if isinstance(A, GroupCode) and isinstance(B, GroupCode):
+                witness = gc_isomorphic(A, B, max_nodes=args.max_search)
+                doc = serialize.gc_witness_to_json(witness) if witness else None
+            else:
+                iso = code_equivalent(A, B, max_nodes=args.max_search)
+                doc = serialize.isometry_to_json(iso) if iso else None
+    except ResourceLimitError as err:
+        print(f"isomorphism search aborted: {err}", file=sys.stderr)
+        with phases("report"):
+            _emit({"isomorphic": None, "witness": None})
+        return EXIT_RESOURCE
     with phases("report"):
         _emit({"isomorphic": doc is not None, "witness": doc})
     return EXIT_OK if doc is not None else EXIT_NEGATIVE

@@ -3,10 +3,14 @@
 A code splits along a coordinate bipartition (J, K) exactly when
 |C| = |pi_J(C)| * |pi_K(C)|. The search enumerates candidate subsets J
 containing coordinate 0 in (size, lex) order, so the returned witness and
-the recursive decomposition are canonical and reproducible. Constant
-coordinates always split off, so they are peeled first to shrink the
-exponential subset search; in a group code, so are the free coordinates,
-each of which splits off alone (``free_coordinates``).
+the decomposition are canonical and reproducible. ``decompose`` first
+peels the coordinates that split off alone (the constant ones, and in a
+group code the free ones, ``free_coordinates``), once: a coordinate that
+splits off alone from a part of a sum splits off alone from the sum. Then
+it takes the least witness J of the rest as a final block, since
+pi_J(C) is indecomposable (were it a sum, its part holding the least
+coordinate would be a smaller witness), and goes on with the complement
+until a certificate or the search finds the rest indecomposable.
 """
 
 from __future__ import annotations
@@ -102,24 +106,6 @@ class _ProjCounter:
         return len(set(map(itemgetter(*coords), self.C.words)))
 
 
-def _validate_subset(C: Code, J: tuple[int, ...]) -> tuple[int, ...]:
-    js = tuple(sorted({int(i) for i in J}))
-    if not js or len(js) >= C.length:
-        raise PreconditionError(f"split subset must be a proper non-empty part of 0..{C.length - 1}")
-    if js[0] < 0 or js[-1] >= C.length:
-        raise PreconditionError(f"split subset {js} outside 0..{C.length - 1}")
-    return js
-
-
-def split_test(C: Code, J: tuple[int, ...]) -> bool:
-    """Exact product criterion |C| = |pi_J(C)| * |pi_K(C)| for K = complement."""
-    js = _validate_subset(C, J)
-    in_j = set(js)
-    ks = tuple(i for i in range(C.length) if i not in in_j)
-    counter = _ProjCounter(C)
-    return counter.card(js) * counter.card(ks) == C.size
-
-
 def _canonical_split(C: Code, counter: _ProjCounter) -> tuple[int, ...] | None:
     """Smallest, lexicographically least witnessing J containing coordinate 0."""
     n, size = C.length, C.size
@@ -133,21 +119,18 @@ def _canonical_split(C: Code, counter: _ProjCounter) -> tuple[int, ...] | None:
     return None
 
 
-def is_decomposable(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
-                    use_certificates: bool = True) -> tuple[int, ...] | None:
-    """Canonical witnessing subset if C splits, else None.
-
-    Length-1 codes never split. A present indecomposability certificate
-    short-circuits the 2^(n-1) subset search when enabled.
-    """
+def is_decomposable(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS
+                    ) -> tuple[int, ...] | None:
+    """Canonical witnessing subset if C splits, else None, by the
+    exhaustive 2^(n-1) subset search: it never consults a certificate to
+    skip it. Length-1 codes never split; a code longer than ``max_bits``
+    raises ResourceLimitError, which carries C's certificate."""
     if C.length <= 1:
         return None
     if C.length > max_bits:
         raise ResourceLimitError(
             f"partition search capped at {max_bits} coordinates, code has {C.length}",
             certificate=indecomposability_certificate(C))
-    if use_certificates and indecomposability_certificate(C) is not None:
-        return None
     return _canonical_split(C, _ProjCounter(C))
 
 
@@ -190,7 +173,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of the recursive split: components, isotypes, and witnesses.
+    """Result of the split: components, isotypes, and witnesses.
 
     The witness is the block-concatenation coordinate permutation (pull
     form, identity configuration); applied to the code it yields exactly
@@ -201,11 +184,15 @@ class Decomposition:
 
     partition: Partition
     components: tuple[Code, ...]
-    isotypes: tuple[tuple[int, int], ...]            # (representative index, multiplicity)
     isotype_members: tuple[tuple[int, ...], ...]
     witness: Isometry
     certificates: tuple[str | None, ...]
     isotype_witnesses: tuple[Isometry, ...]
+
+    @property
+    def isotypes(self) -> tuple[tuple[int, int], ...]:
+        """(representative index, multiplicity) of each isotype."""
+        return tuple((members[0], len(members)) for members in self.isotype_members)
 
     @property
     def indecomposable(self) -> bool:
@@ -222,75 +209,62 @@ class Decomposition:
 
 
 def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
-              use_certificates: bool = True,
               max_nodes: int = DEFAULT_MAX_NODES) -> Decomposition:
-    """Recursive canonical decomposition into indecomposable components."""
+    """Canonical decomposition into indecomposable components, block by block.
+
+    The coordinates that split off alone are peeled once, here: a
+    coordinate that splits off alone from pi_J(C), where C = pi_J(C) ⊕
+    pi_K(C), splits off alone from C. The least witness J of the rest is a
+    final block: were pi_J a sum, its part holding the least coordinate
+    would be a smaller witness. Each block's certificate is evaluated
+    once, when the block is found.
+    """
     if C.length > max_bits:
         raise ResourceLimitError(
             f"partition search capped at {max_bits} coordinates, code has {C.length}",
             certificate=indecomposability_certificate(C))
-    # each final block with its component, the projection of C the
-    # recursion built for it, and the certificate of each block the
-    # recursion certified
-    leaves: list[tuple[tuple[int, ...], Code]] = []
-    certified: dict[tuple[int, ...], str | None] = {}
-    # projections with equal words share one Code, and so its memos
-    shared: dict[tuple, Code] = {}
+    # each final block with its component and certificate; codes with
+    # equal words share one Code, and so its memos
+    found: list[tuple[tuple[int, ...], Code, str | None]] = []
+    shared: dict[tuple, Code] = {C.words: C}
 
-    def rec(indices: tuple[int, ...], code: Code) -> None:
+    def certified(code: Code) -> tuple[Code, str | None]:
         code = shared.setdefault(code.words, code)
-        if len(indices) == 1:
-            leaves.append((indices, code))
-            return
-        if isinstance(code, GroupCode):
-            alone = free_coordinates(code)
-        else:
-            _, alone = is_degenerate(code)
-        if alone:
-            for p in alone:
-                rec((indices[p],), projection(code, (p,)))
-            peeled = set(alone)
-            keep = [p for p in range(code.length) if p not in peeled]
-            if keep:
-                rec(tuple(indices[p] for p in keep), projection(code, keep))
-            return
-        tag = indecomposability_certificate(code) if use_certificates else None
-        J = None if tag is not None else is_decomposable(code, max_bits=max_bits,
-                                                         use_certificates=False)
-        if J is None:
-            leaves.append((indices, code))
-            if use_certificates:
-                certified[indices] = tag
-            return
-        in_j = set(J)
-        K = tuple(p for p in range(code.length) if p not in in_j)
-        rec(tuple(indices[p] for p in J), projection(code, J))
-        rec(tuple(indices[p] for p in K), projection(code, K))
+        return code, indecomposability_certificate(code)
 
-    rec(tuple(range(C.length)), C)
-    leaves.sort(key=lambda leaf: leaf[0][0])
-    blocks = [b for b, _ in leaves]
-    components = tuple(comp for _, comp in leaves)
-    partition = Partition(tuple(blocks))
-    certificates = tuple(certified[b] if b in certified else indecomposability_certificate(comp)
-                         for b, comp in leaves)
+    indices, rest = tuple(range(C.length)), C
+    alone = free_coordinates(C) if isinstance(C, GroupCode) else is_degenerate(C)[1]
+    if alone:
+        found += [((p,), *certified(projection(C, (p,)))) for p in alone]
+        indices = tuple(i for i in indices if i not in alone)
+        rest = projection(C, indices) if indices else C
+    while indices:
+        rest, tag = certified(rest)
+        J = None if tag is not None else is_decomposable(rest, max_bits=max_bits)
+        if J is None:
+            found.append((indices, rest, tag))
+            break
+        in_j = set(J)
+        K = tuple(p for p in range(rest.length) if p not in in_j)
+        found.append((tuple(indices[p] for p in J), *certified(projection(rest, J))))
+        indices, rest = tuple(indices[p] for p in K), projection(rest, K)
+    found.sort(key=lambda f: f[0][0])
+    blocks = tuple(b for b, _, _ in found)
+    components = tuple(comp for _, comp, _ in found)
 
     group_mode = isinstance(C, GroupCode)
-    rep_indices: list[int] = []
     members: list[list[int]] = []
     witnesses: list[Isometry] = []
     for ci, comp in enumerate(components):
-        for k, r in enumerate(rep_indices):
-            found = _isotype_witness(components[r], comp, group_mode, max_nodes)
-            if found is not None:
-                members[k].append(ci)
-                witnesses.append(found)
+        for m in members:
+            iso = _isotype_witness(components[m[0]], comp, group_mode, max_nodes)
+            if iso is not None:
+                m.append(ci)
+                witnesses.append(iso)
                 break
         else:
-            rep_indices.append(ci)
             members.append([ci])
             witnesses.append(identity_isometry(C.alphabet.order, comp.length))
-    isotypes = tuple((r, len(m)) for r, m in zip(rep_indices, members))
 
     perm = tuple(i for b in blocks for i in b)
     q = C.alphabet.order
@@ -300,10 +274,9 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     target = direct_sum_all(list(components))
     if rebuilt.words != target.words:
         raise TheoremViolationError("decomposition witness does not reassemble the direct sum")
-    return Decomposition(partition=partition, components=components,
-                         isotypes=isotypes,
+    return Decomposition(partition=Partition(blocks), components=components,
                          isotype_members=tuple(tuple(m) for m in members),
-                         witness=witness, certificates=certificates,
+                         witness=witness, certificates=tuple(tag for _, _, tag in found),
                          isotype_witnesses=tuple(witnesses))
 
 

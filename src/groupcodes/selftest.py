@@ -286,7 +286,7 @@ def check_projection_products() -> CheckResult:
     for J in ((0,), (1,), (2,)):
         K = tuple(i for i in range(3) if i not in J)
         prods.append(projection(C, J).size * projection(C, K).size)
-    witness = is_decomposable(C, use_certificates=False)
+    witness = is_decomposable(C)
     ok = prods == [16, 16, 16] and witness is None and C.size == 8
     return CheckResult("projection-products", ok,
                        f"products {prods}, split witness {witness}")
@@ -355,7 +355,7 @@ def check_certificates(rng: random.Random) -> CheckResult:
         tag = indecomposability_certificate(C)
         if tag is None:
             return CheckResult("certificates-sound", False, f"uncertified corpus member {C}")
-        if is_decomposable(C, use_certificates=False) is not None:
+        if is_decomposable(C) is not None:
             return CheckResult("certificates-sound", False, f"certificate {tag} contradicted on {C}")
         checked += 1
     return CheckResult("certificates-sound", True,
@@ -390,13 +390,13 @@ def check_automorphism_structure() -> CheckResult:
     D = even_weight_code(3)
     R3 = binary_repetition(3)
     sums = [
-        ([D, D], None),
-        ([R3, R3, R3], None),
-        ([D, R3], None),
-        ([repetition_code(cyclic_group(3), 2), repetition_code(cyclic_group(3), 2)], None),
+        [D, D],
+        [R3, R3, R3],
+        [D, R3],
+        [repetition_code(cyclic_group(3), 2), repetition_code(cyclic_group(3), 2)],
     ]
-    for parts, _ in sums:
-        total = direct_sum_all(list(parts))
+    for parts in sums:
+        total = direct_sum_all(parts)
         assert isinstance(total, GroupCode)
         counts: dict[int, int] = {}
         reps: list[GroupCode] = []
@@ -420,7 +420,7 @@ def check_automorphism_structure() -> CheckResult:
         report = aut_group(total)
         if report.elements is not None:
             for el in report.elements[:8]:
-                if not verify_block_preservation(list(parts), el):
+                if not verify_block_preservation(parts, el):
                     return CheckResult("automorphism-structure", False,
                                        "an automorphism violates block preservation")
     return CheckResult("automorphism-structure", True,
@@ -454,7 +454,7 @@ def check_cyclic_structure() -> CheckResult:
         if not is_cyclic(C):
             return CheckResult("cyclic-structure", False, f"corpus member not cyclic: {C}")
         cert = gcd_certificate(C)
-        witness = is_decomposable(C, use_certificates=False)
+        witness = is_decomposable(C)
         if cert is not None and witness is not None:
             return CheckResult("cyclic-structure", False, f"gcd certificate contradicted on {C}")
         if witness is not None:
@@ -463,7 +463,7 @@ def check_cyclic_structure() -> CheckResult:
             if structure.multiplicity < 2:
                 return CheckResult("cyclic-structure", False, f"bad multiplicity on {C}")
     full = full_space(Z2, 3)
-    if is_decomposable(full, use_certificates=False) is None or gcd_certificate(full) is not None:
+    if is_decomposable(full) is None or gcd_certificate(full) is not None:
         return CheckResult("cyclic-structure", False, "full-space converse exhibit failed")
     return CheckResult("cyclic-structure", True,
                        f"{decomposable} decomposable cyclic codes have isomorphic cyclic components")

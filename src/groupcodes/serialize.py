@@ -3,10 +3,10 @@
 Coordinate indices and permutations are 1-based on the wire and 0-based in
 memory. Emitted documents are canonical: words sorted, alphabets written
 in table form, isometries in the pull convention, so byte-identical output
-for identical inputs is guaranteed. Loaders additionally accept the
-cyclic/product alphabet shorthands and push-convention witnesses, and
-reject an alphabet of order above ``MAX_ALPHABET_ORDER`` before building
-its table.
+for identical inputs is guaranteed. The loaders read alphabets and codes
+only: they also accept the cyclic/product alphabet shorthands, and reject
+an alphabet of order above ``MAX_ALPHABET_ORDER`` before building its
+table.
 
 Reports are written by ``dumps``, byte-identical to ``json.dumps`` with
 ``indent=2``. The ``elements`` list of an ``aut`` report, up to thousands
@@ -28,7 +28,7 @@ from .cyclic import ComponentStructure, CyclicReport, GcdCertificate
 from .decompose import Decomposition, Partition
 from .errors import ClosureError, GroupCodesError, SchemaError
 from .groups import FiniteGroup, cyclic_group, group_from_table, product_group
-from .isometry import Configuration, Equivalence, Isometry
+from .isometry import Isometry
 from .isomorphy import AutGroupReport, ElementPair, GroupCodeIso
 
 
@@ -246,27 +246,6 @@ def isometry_to_json(iso: Isometry) -> dict:
     return {"sigma": [i + 1 for i in iso.equiv.perm],
             "config": [list(f) for f in iso.config.maps],
             "convention": "pull"}
-
-
-def isometry_from_json(obj: Any) -> Isometry:
-    if not isinstance(obj, dict):
-        raise SchemaError("isometry witness must be an object")
-    sigma = obj.get("sigma")
-    config = obj.get("config")
-    convention = obj.get("convention", "pull")
-    if convention not in ("pull", "push"):
-        raise SchemaError(f"unknown convention {convention!r}", "convention")
-    if not isinstance(sigma, list) or not all(_is_int(i) for i in sigma):
-        raise SchemaError("sigma must be a list of 1-based integers", "sigma")
-    if not isinstance(config, list):
-        raise SchemaError("config must be a list of alphabet maps", "config")
-    try:
-        equiv = Equivalence(tuple(i - 1 for i in sigma))
-        if convention == "push":
-            equiv = equiv.inverse()
-        return Isometry(Configuration(tuple(tuple(f) for f in config)), equiv)
-    except GroupCodesError as err:
-        raise SchemaError(str(err)) from err
 
 
 def gc_witness_to_json(w: GroupCodeIso) -> dict:

@@ -11,10 +11,11 @@ from typing import Iterable, Sequence
 from groupcodes import serialize as ser
 from groupcodes.classify import (constant_weight_group, is_degenerate, is_mds, is_perfect,
                                  is_trivial)
-from groupcodes.codes import Code, GroupCode, hamming_distance
+from groupcodes.codes import Code, GroupCode, hamming_distance, projection
 from groupcodes.cyclic import ComponentStructure, cyclic_shift, is_cyclic
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, CERT_PRIME,
-                                  decompose)
+                                  decompose, free_coordinates, indecomposability_certificate,
+                                  is_decomposable)
 from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
                                TheoremViolationError)
 from groupcodes.isometry import Configuration, Equivalence, Isometry, compose
@@ -381,6 +382,45 @@ def applicable_certificates(C: Code) -> tuple[str, ...]:
     if not degenerate and C.size >= 2 and all(C.size % d for d in range(2, C.size)):
         tags.append(CERT_PRIME)
     return tuple(tags)
+
+
+def recursive_blocks(C: Code) -> tuple[tuple[tuple[int, ...], ...], tuple[Code, ...],
+                                        tuple[str | None, ...]]:
+    """The blocks, components and certificates of C's decomposition by
+    recursion: at every node, peel the coordinates that split off alone
+    (the free ones of a group code, the constant ones of a plain code);
+    else end the branch on a certificate or when the exhaustive search
+    finds no split, or recurse on both sides of the canonical witness. The
+    oracle for ``decompose``, which peels once and takes each least
+    witness as a final block."""
+    leaves: list[tuple[tuple[int, ...], Code]] = []
+
+    def rec(indices: tuple[int, ...], code: Code) -> None:
+        if len(indices) == 1:
+            leaves.append((indices, code))
+            return
+        alone = free_coordinates(code) if isinstance(code, GroupCode) else is_degenerate(code)[1]
+        if alone:
+            for p in alone:
+                rec((indices[p],), projection(code, (p,)))
+            keep = [p for p in range(code.length) if p not in alone]
+            if keep:
+                rec(tuple(indices[p] for p in keep), projection(code, keep))
+            return
+        J = None
+        if indecomposability_certificate(code) is None:
+            J = is_decomposable(code, max_bits=code.length)
+        if J is None:
+            leaves.append((indices, code))
+            return
+        K = [p for p in range(code.length) if p not in J]
+        rec(tuple(indices[p] for p in J), projection(code, J))
+        rec(tuple(indices[p] for p in K), projection(code, K))
+
+    rec(tuple(range(C.length)), C)
+    leaves.sort()
+    return (tuple(block for block, _ in leaves), tuple(comp for _, comp in leaves),
+            tuple(indecomposability_certificate(comp) for _, comp in leaves))
 
 
 def cyclic_structure(C: GroupCode) -> ComponentStructure:

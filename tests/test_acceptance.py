@@ -36,7 +36,7 @@ def test_criterion_1_z4_projection_products():
         factors.append((gc.projection(C, J).size, gc.projection(C, K).size))
     assert factors == [(4, 4), (2, 8), (4, 4)]
     assert all(a * b == 16 for a, b in factors)
-    assert gc.is_decomposable(C, use_certificates=False) is None
+    assert gc.is_decomposable(C) is None
     _finish(1, t0, 1.0, "projection products 4*4, 2*8, 4*4 = 16; no split exists")
 
 
@@ -109,7 +109,7 @@ def test_criterion_4_indecomposability_certificates():
     disagreements = 0
     for C in cases:
         assert gc.indecomposability_certificate(C) is not None, f"uncertified: {C}"
-        if gc.is_decomposable(C, use_certificates=False) is not None:
+        if gc.is_decomposable(C) is not None:
             disagreements += 1
     assert disagreements == 0
     _finish(4, t0, 60.0,
@@ -200,7 +200,7 @@ def test_criterion_7_cyclic_structure():
     for C in cyclic_corpus():
         assert gc.is_cyclic(C)
         cert = gc.gcd_certificate(C)
-        witness = gc.is_decomposable(C, use_certificates=False)
+        witness = gc.is_decomposable(C)
         if cert is not None and witness is not None:
             violations += 1  # a present certificate may never contradict the search
         if witness is not None:
@@ -213,7 +213,7 @@ def test_criterion_7_cyclic_structure():
     # converse exhibit: (Z/2)^3 is decomposable although the exponent gcd of
     # the alphabet order is coprime to n, so no converse of the gcd test holds
     full = gc.full_space(gc.cyclic_group(2), 3)
-    assert gc.is_decomposable(full, use_certificates=False) is not None
+    assert gc.is_decomposable(full) is not None
     assert gc.gcd_certificate(full) is None
     alphabet_exponent_gcd = 1  # |Z/2| = 2^1
     assert math.gcd(alphabet_exponent_gcd, 3) == 1

@@ -231,6 +231,32 @@ def test_aut_command(files, capsys):
     assert doc["elements"] is not None and len(doc["elements"]) == 6
 
 
+def test_aut_with_structure_past_the_partition_cap_reports_partially(tmp_path, capsys):
+    # {0^25, 1^25}: the decomposition hits the 24-coordinate cap
+    p = tmp_path / "rep25.json"
+    p.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2}, "length": 25,
+                             "codewords": [[0] * 25, [1] * 25], "group": True}))
+    code, doc = run_json(capsys, ["aut", str(p), "--with-structure"])
+    assert code == 3
+    assert doc == {"order": None, "complete": False, "generators": []}
+
+
+@pytest.mark.parametrize("group", [True, False])
+def test_iso_past_the_search_cap_reports_partially(tmp_path, capsys, group):
+    # {00, 11, 22} over Z/3 and its image {00, 21, 12} under x -> -x on
+    # the first coordinate: one node is not enough
+    paths = []
+    for name, words in (("a", [[0, 0], [1, 1], [2, 2]]), ("b", [[0, 0], [2, 1], [1, 2]])):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 3},
+                                         "length": 2, "codewords": words, "group": group}))
+    code, doc = run_json(capsys, ["iso", *map(str, paths), "--max-search", "1"])
+    assert code == 3
+    assert doc == {"isomorphic": None, "witness": None}
+    code, doc = run_json(capsys, ["iso", *map(str, paths)])
+    assert code == 0 and doc["isomorphic"] is True
+
+
 def test_aut_requires_group_code(tmp_path, capsys):
     p = tmp_path / "plain.json"
     p.write_text(json.dumps({"alphabet": {"kind": "cyclic", "modulus": 2},

@@ -188,25 +188,25 @@ def test_gcd_certificate_cases(code_d, z2, z3):
     # |C| = 4, n = 3: xi = 2, gcd(2, 3) = 1, certificate present
     cert = gc.gcd_certificate(code_d)
     assert cert is not None and cert.xi == 2
-    assert gc.is_decomposable(code_d, use_certificates=False) is None
+    assert gc.is_decomposable(code_d) is None
     # |C| = 6, n = 4: xi = gcd(1, 1) = 1, gcd(1, 4) = 1, present
     joined = gc.join([binary_repetition(4), repetition_code(z3, 4)])
     assert joined.size == 6 and joined.length == 4
     cert = gc.gcd_certificate(joined)
     assert cert is not None and cert.xi == 1
-    assert gc.is_decomposable(joined, use_certificates=False) is None
+    assert gc.is_decomposable(joined) is None
 
 
 def test_gcd_certificate_never_contradicts_search():
     for C in cyclic_corpus():
         if gc.gcd_certificate(C) is not None:
-            assert gc.is_decomposable(C, use_certificates=False) is None
+            assert gc.is_decomposable(C) is None
 
 
 def test_gcd_converse_fails_on_full_spaces(z2):
     # decomposable although the alphabet-order exponents have gcd 1 with n
     full = gc.full_space(z2, 3)
-    assert gc.is_decomposable(full, use_certificates=False) is not None
+    assert gc.is_decomposable(full) is not None
     assert gc.gcd_certificate(full) is None
 
 
@@ -216,7 +216,7 @@ def test_components_of_decomposable_cyclic_codes():
         assert gc.is_cyclic(C)
         if C.length > 10:
             continue
-        if gc.is_decomposable(C, use_certificates=False) is None:
+        if gc.is_decomposable(C) is None:
             continue
         s = gc.cyclic_structure(C)  # raises on any theorem violation
         assert s.components_pairwise_isomorphic and s.components_cyclic
@@ -254,7 +254,7 @@ def test_cyclic_structure_raises_on_a_decomposition_with_two_isotypes(code_d):
     C = gc.interleave(code_d, 2)
     dec = gc.decompose(C)
     assert dec.isotypes == ((0, 2),)
-    split = dataclasses.replace(dec, isotypes=((0, 1), (1, 1)), isotype_members=((0,), (1,)))
+    split = dataclasses.replace(dec, isotype_members=((0,), (1,)))
     with pytest.raises(TheoremViolationError):
         gc.cyclic_structure(C, split)
 

@@ -6,7 +6,9 @@ import importlib
 import itertools
 import json
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -17,10 +19,13 @@ from groupcodes.cli import main
 from groupcodes.codes import PACKED_ABOVE_WORDS
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT,
                                   CERT_PRIME, _ProjCounter)
-from groupcodes.errors import PreconditionError, ResourceLimitError
+from groupcodes.errors import ResourceLimitError
 from groupcodes.catalog import (binary_repetition, hamming_7_4_code, repetition_code,
                                 sum_zero_code)
-from oracles import applicable_certificates as certificates_by_predicate
+from oracles import applicable_certificates as certificates_by_predicate, recursive_blocks
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 # the module, which the package's decompose function shadows as an attribute
 dmod = importlib.import_module("groupcodes.decompose")
@@ -42,52 +47,51 @@ def exhaustive_split_search(C):
     return None
 
 
-def test_split_test_z4_rows(z4_code):
-    assert not gc.split_test(z4_code, (0,))   # 4 * 4 = 16 != 8
-    assert not gc.split_test(z4_code, (1,))   # 2 * 8 = 16 != 8
-    assert not gc.split_test(z4_code, (2,))   # 4 * 4 = 16 != 8
+def splits(C, J):
+    """The product criterion |C| = |pi_J(C)| * |pi_K(C)|, K the complement
+    of J, by the split search's projection counter."""
+    counter = _ProjCounter(C)
+    K = tuple(i for i in range(C.length) if i not in J)
+    return counter.card(J) * counter.card(K) == C.size
 
 
-def test_split_test_on_manufactured_sum(code_d, rep3):
+def test_split_criterion_z4_rows(z4_code):
+    assert not splits(z4_code, (0,))   # 4 * 4 = 16 != 8
+    assert not splits(z4_code, (1,))   # 2 * 8 = 16 != 8
+    assert not splits(z4_code, (2,))   # 4 * 4 = 16 != 8
+
+
+def test_split_criterion_on_manufactured_sum(code_d, rep3):
     total = gc.direct_sum(code_d, rep3)
-    assert gc.split_test(total, (0, 1, 2))
-    assert gc.split_test(total, (3, 4, 5))  # complement symmetric
-    assert not gc.split_test(total, (0, 3))
-
-
-def test_split_test_invalid_subsets(code_d):
-    with pytest.raises(PreconditionError):
-        gc.split_test(code_d, ())
-    with pytest.raises(PreconditionError):
-        gc.split_test(code_d, (0, 1, 2))
-    with pytest.raises(PreconditionError):
-        gc.split_test(code_d, (5,))
+    assert splits(total, (0, 1, 2))
+    assert splits(total, (3, 4, 5))  # complement symmetric
+    assert not splits(total, (0, 3))
 
 
 def test_is_decomposable_z4_absent(z4_code):
-    assert gc.is_decomposable(z4_code, use_certificates=False) is None
+    assert gc.is_decomposable(z4_code) is None
 
 
 def test_is_decomposable_full_plane(z2):
-    assert gc.is_decomposable(gc.full_space(z2, 2), use_certificates=False) == (0,)
+    assert gc.is_decomposable(gc.full_space(z2, 2)) == (0,)
 
 
 def test_is_decomposable_interleaved(code_d):
     C = gc.interleave(code_d, 2)
-    assert gc.is_decomposable(C, use_certificates=False) == (0, 2, 4)
+    assert gc.is_decomposable(C) == (0, 2, 4)
 
 
 def test_is_decomposable_canonical_choice(code_d, z2):
     total = gc.direct_sum(code_d, gc.full_space(z2, 1))
     # witnesses containing coordinate 0 start at size 3; (0,1,2) is least
-    assert gc.is_decomposable(total, use_certificates=False) == (0, 1, 2)
+    assert gc.is_decomposable(total) == (0, 1, 2)
 
 
 def test_is_decomposable_matches_oracle(corpus):
     for C in corpus:
         if C.length < 2 or C.length > 9:
             continue
-        assert gc.is_decomposable(C, use_certificates=False) == exhaustive_split_search(C)
+        assert gc.is_decomposable(C) == exhaustive_split_search(C)
 
 
 def test_is_decomposable_cap_carries_certificate():
@@ -140,7 +144,7 @@ def test_decompose_reconstruction_witness(corpus):
         assert sizes == C.size
         assert sum(len(b) for b in dec.partition.blocks) == C.length
         for comp in dec.components:
-            assert gc.is_decomposable(comp, use_certificates=False) is None
+            assert gc.is_decomposable(comp) is None
 
 
 def test_decompose_plain_code_with_scramble(z2):
@@ -193,7 +197,7 @@ def test_certificate_soundness(corpus):
         if C.length > 12:
             continue
         if gc.indecomposability_certificate(C) is not None:
-            assert gc.is_decomposable(C, use_certificates=False) is None
+            assert gc.is_decomposable(C) is None
 
 
 def test_scramble_roundtrip_group_codes(z3):
@@ -293,20 +297,37 @@ def test_decompose_keeps_the_components_of_its_recursion(code_d, monkeypatch):
 
 
 def test_uncertified_blocks_get_their_certificates_at_the_end(code_d, z2, monkeypatch):
-    # a constant coordinate and a run without certificates: every block is
-    # certified after the recursion, once
+    # a constant coordinate, peeled, and D + R3, which no certificate
+    # covers: each block is certified once, when it is found, and so is
+    # the rest D + R3 before its split
     zero = gc.GroupCode.from_words(z2, 1, [(0,)])
-    total = gc.direct_sum_all([code_d, zero, binary_repetition(3)])
+    rep3 = binary_repetition(3)
+    total = gc.direct_sum_all([code_d, zero, rep3])
     calls = []
     original = dmod.indecomposability_certificate
     monkeypatch.setattr(dmod, "indecomposability_certificate",
                         lambda C: calls.append(C.words) or original(C))
-    for use_certificates in (True, False):
-        calls.clear()
-        dec = gc.decompose(total, use_certificates=use_certificates)
-        assert dec.certificates == tuple(original(comp) for comp in dec.components)
-        if not use_certificates:
-            assert sorted(calls) == sorted(comp.words for comp in dec.components)
+    dec = gc.decompose(total)
+    assert dec.partition.blocks == ((0, 1, 2), (3,), (4, 5, 6))
+    assert dec.certificates == tuple(original(comp) for comp in dec.components)
+    assert sorted(calls) == sorted([comp.words for comp in dec.components]
+                                   + [gc.direct_sum(code_d, rep3).words])
+
+
+def test_decompose_searches_each_block_once(monkeypatch):
+    # two certificate-free [8, 5] codes: the whole code is searched, then
+    # the rest; the least witness is a final block, not searched again
+    z2 = gc.cyclic_group(2)
+    a, b = (gc.GroupCode.from_words(z2, 8, gen.certificate_free_binary(random.Random(seed), 8))
+            for seed in (1, 2))
+    lengths = []
+    original = dmod._canonical_split
+    monkeypatch.setattr(dmod, "_canonical_split",
+                        lambda C, counter: lengths.append(C.length) or original(C, counter))
+    dec = gc.decompose(gc.direct_sum(a, b))
+    assert dec.partition.blocks == (tuple(range(8)), tuple(range(8, 16)))
+    assert dec.certificates == (None, None)
+    assert lengths == [16, 8]
 
 
 def test_split_search_keeps_no_projection_counts():
@@ -316,11 +337,11 @@ def test_split_search_keeps_no_projection_counts():
     C = binary_repetition(14)
     tracemalloc.start()
     try:
-        dec = gc.decompose(C, use_certificates=False)
+        J = gc.is_decomposable(C)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dec.indecomposable
+    assert J is None
     assert peak < 2**20
 
 
@@ -452,21 +473,21 @@ def free_by_projection_counts(C):
     test each; a code of length 1 is its one coordinate's projection."""
     if C.length == 1:
         return (0,)
-    return tuple(i for i in range(C.length) if gc.split_test(C, (i,)))
+    return tuple(i for i in range(C.length) if splits(C, (i,)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(sums_with_free_coordinates(), st.booleans())
-def test_peeling_free_coordinates_gives_the_unpeeled_decomposition(C, use_certificates):
+@given(sums_with_free_coordinates())
+def test_peeling_free_coordinates_gives_the_unpeeled_decomposition(C):
     # the free coordinates are exactly the one-coordinate splits
     assert dmod.free_coordinates(C) == free_by_projection_counts(C)
     event(f"free coordinates: {len(dmod.free_coordinates(C))} of {C.length}")
-    dec = gc.decompose(C, use_certificates=use_certificates)
+    dec = gc.decompose(C)
     # the route before free coordinates: constants alone are peeled
     original = dmod.free_coordinates
     dmod.free_coordinates = lambda code: clmod.is_degenerate(code)[1]
     try:
-        unpeeled = gc.decompose(C, use_certificates=use_certificates)
+        unpeeled = gc.decompose(C)
     finally:
         dmod.free_coordinates = original
     assert dec.partition == unpeeled.partition
@@ -486,3 +507,33 @@ def test_free_coordinates_skip_the_split_search(hamming, z2, monkeypatch):
     dec = gc.decompose(C)
     assert dec.partition.blocks == ((0,), tuple(range(1, 8)))
     assert dec.certificates[1] == CERT_PERFECT
+
+
+@st.composite
+def permuted_plain_sums(draw):
+    """A direct sum of one to three random plain codes over Z/2 or Z/3,
+    each of length 1 to 3, with its coordinates permuted."""
+    G = draw(st.sampled_from([gc.cyclic_group(2), gc.cyclic_group(3)]))
+    summands = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 3))
+        words = st.tuples(*[st.integers(0, G.order - 1)] * n)
+        summands.append(gc.Code.from_words(G, n, draw(st.lists(words, min_size=1, max_size=6))))
+    total = gc.direct_sum_all(summands)
+    perm = tuple(draw(st.permutations(range(total.length))))
+    return gc.apply_to_code(gc.from_permutation(perm, G.order), total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sums_with_free_coordinates(), permuted_plain_sums()))
+def test_decompose_matches_the_recursive_oracle(C):
+    # block by block from the least witness, peeling once at the root,
+    # gives the blocks, components and certificates of the recursion that
+    # peels at every node and searches every block again
+    dec = gc.decompose(C)
+    event(f"{'group' if isinstance(C, gc.GroupCode) else 'plain'} code, "
+          f"{'one block' if dec.indecomposable else 'two or more blocks'}")
+    blocks, components, certificates = recursive_blocks(C)
+    assert dec.partition.blocks == blocks
+    assert [c.words for c in dec.components] == [c.words for c in components]
+    assert dec.certificates == certificates

@@ -1,6 +1,7 @@
 """What the program loads: never numpy, the self test only for its verb,
 and the automorphism assembly only for `aut`; each run check runs in a
-fresh interpreter."""
+fresh interpreter. And what each module's annotations read: names the
+module binds."""
 
 from __future__ import annotations
 
@@ -176,3 +177,57 @@ def test_the_traced_names_stay_in_isomorphy():
     for fn in (isomorphy.aut_group, isomorphy.gc_isomorphic, isomorphy._IsoSearch.run):
         assert fn.__module__ == "groupcodes.isomorphy"
     assert "run" in vars(isomorphy._IsoSearch)
+
+
+def annotation_names(node: ast.expr | None) -> list[tuple[str, int]]:
+    """The names an annotation reads, with their lines: the root of each
+    dotted name, and the names inside string annotations."""
+    found = []
+    for sub in ast.walk(node) if node is not None else ():
+        if isinstance(sub, ast.Name):
+            found.append((sub.id, sub.lineno))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            inner = ast.parse(sub.value, mode="eval").body
+            found += [(name, sub.lineno) for name, _ in annotation_names(inner)]
+    return found
+
+
+def module_bindings(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level, in any branch: imports,
+    functions, classes and assignment targets."""
+    bound: set[str] = set()
+    stack: list[ast.stmt] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                stack += getattr(node, field, [])
+    return bound
+
+
+def test_every_annotation_name_is_bound_in_its_module():
+    # with postponed annotations nothing evaluates a local variable's
+    # annotation, so a name missing from the module fails only a reader
+    import builtins
+    unbound = []
+    for path in sorted((SRC / "groupcodes").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        bound = module_bindings(tree) | set(dir(builtins))
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+        unbound += [f"{path.name}:{line} {name}" for ann in annotations
+                    for name, line in annotation_names(ann) if name not in bound]
+    assert unbound == []
