@@ -119,14 +119,15 @@ def _load_code(path: str) -> Code:
                 data += block
         if len(data) > MAX_INPUT_BYTES:
             raise SchemaError(f"{path}: input files are limited to {MAX_INPUT_BYTES} bytes")
-        doc = json.loads(data.decode("utf-8"))
+        return serialize.code_from_json(json.loads(data.decode("utf-8")))
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
     except UnicodeDecodeError as err:
         raise SchemaError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
-    return serialize.code_from_json(doc)
+    except RecursionError as err:
+        raise SchemaError(f"{path}: JSON nested too deeply") from err
 
 
 def _emit(doc: Any) -> None:

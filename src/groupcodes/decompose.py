@@ -252,12 +252,11 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
     blocks = tuple(b for b, _, _ in found)
     components = tuple(comp for _, comp, _ in found)
 
-    group_mode = isinstance(C, GroupCode)
     members: list[list[int]] = []
     witnesses: list[Isometry] = []
     for ci, comp in enumerate(components):
         for m in members:
-            iso = _isotype_witness(components[m[0]], comp, group_mode, max_nodes)
+            iso = _isotype_witness(components[m[0]], comp, max_nodes)
             if iso is not None:
                 m.append(ci)
                 witnesses.append(iso)
@@ -280,12 +279,11 @@ def decompose(C: Code, *, max_bits: int = DEFAULT_PARTITION_BITS,
                          isotype_witnesses=tuple(witnesses))
 
 
-def _isotype_witness(a: Code, b: Code, group_mode: bool, max_nodes: int) -> Isometry | None:
-    """An isometry mapping a onto b (a group-code isomorphism in group mode), or None."""
+def _isotype_witness(a: Code, b: Code, max_nodes: int) -> Isometry | None:
+    """An isometry mapping a onto b (a group-code isomorphism between group codes), or None."""
     if a.length != b.length or a.size != b.size:
         return None
-    if group_mode:
-        assert isinstance(a, GroupCode) and isinstance(b, GroupCode)
+    if isinstance(a, GroupCode) and isinstance(b, GroupCode):
         found = gc_isomorphic(a, b, max_nodes=max_nodes)
         return None if found is None else found.iso
     return code_equivalent(a, b, max_nodes=max_nodes)

@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, cast
 
 from .catalog import (binary_repetition, even_weight_code, hamming_7_4_code,
                       repetition_code, sum_zero_code, z4_example_code)
@@ -91,9 +91,7 @@ def random_sum_construction(rng: random.Random, G: FiniteGroup, *,
     parts: list[Code] = []
     for comp, alpha in picked:
         parts.extend([comp] * alpha)
-    total = direct_sum_all(parts)
-    assert isinstance(total, GroupCode)
-    return total, picked
+    return cast(GroupCode, direct_sum_all(parts)), picked
 
 
 def random_group_isometry(rng: random.Random, G: FiniteGroup, n: int) -> Isometry:
@@ -396,8 +394,7 @@ def check_automorphism_structure() -> CheckResult:
         [repetition_code(cyclic_group(3), 2), repetition_code(cyclic_group(3), 2)],
     ]
     for parts in sums:
-        total = direct_sum_all(parts)
-        assert isinstance(total, GroupCode)
+        total = cast(GroupCode, direct_sum_all(parts))
         counts: dict[int, int] = {}
         reps: list[GroupCode] = []
         for p in parts:

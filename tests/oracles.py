@@ -11,15 +11,15 @@ from typing import Iterable, Sequence
 from groupcodes import serialize as ser
 from groupcodes.classify import (constant_weight_group, is_degenerate, is_mds, is_perfect,
                                  is_trivial)
-from groupcodes.codes import Code, GroupCode, hamming_distance, projection
+from groupcodes.codes import Code, GroupCode, hamming_distance, projection, word_mul
 from groupcodes.cyclic import ComponentStructure, cyclic_shift, is_cyclic
 from groupcodes.decompose import (CERT_CONSTANT_WEIGHT, CERT_MDS, CERT_PERFECT, CERT_PRIME,
                                   decompose, free_coordinates, indecomposability_certificate,
                                   is_decomposable)
-from groupcodes.errors import (IncompatibleError, PreconditionError, ResourceLimitError,
-                               TheoremViolationError)
+from groupcodes.errors import (ClosureError, IncompatibleError, PreconditionError,
+                               ResourceLimitError, TheoremViolationError)
 from groupcodes.isometry import Configuration, Equivalence, Isometry, compose
-from groupcodes.groups import CosetClosure
+from groupcodes.groups import CosetClosure, FiniteGroup
 from groupcodes.autgroup import _symmetric_generators
 from groupcodes.isomorphy import AutGroupReport, ElementPair, GroupCodeIso, Leaf, gc_isomorphic
 
@@ -493,3 +493,33 @@ def compose_points(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(b) < 2:  # itemgetter needs an index, and returns a lone item bare
         return tuple([a[p] for p in b])
     return itemgetter(*b)(a)
+
+
+def pair_product_holds(witness: GroupCodeIso) -> bool:
+    """phi maps C onto D and phi(xy) = phi(x)·phi(y) for all |C|² pairs of
+    codewords, with no per-coordinate test; the oracle for
+    ``GroupCodeIso.verify``."""
+    C, D, phi = witness.source, witness.target, witness.iso
+    G = C.alphabet
+    if {phi.apply(w) for w in C.words} != D.word_set:
+        return False
+    return all(phi.apply(word_mul(G, x, y)) == word_mul(G, phi.apply(x), phi.apply(y))
+               for x in C.words for y in C.words)
+
+
+def pair_scan_check_subgroup(G: FiniteGroup, n: int, words: Sequence[tuple[int, ...]]) -> None:
+    """Raise ClosureError unless the words form a subgroup of G^n: the
+    identity, then every inverse, then every product of two words, in word
+    order, with no closure; the quadratic route that
+    ``codes._check_subgroup`` replaced."""
+    ws = frozenset(words)
+    e = (G.identity,) * n
+    if e not in ws:
+        raise ClosureError("group code does not contain the identity word", witness=(e,))
+    for x in words:
+        if tuple(G.inverse[s] for s in x) not in ws:
+            raise ClosureError(f"inverse of {x} missing", witness=(x,))
+    for x in words:
+        for y in words:
+            if word_mul(G, x, y) not in ws:
+                raise ClosureError(f"product of {x} and {y} escapes the set", witness=(x, y))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -77,6 +78,40 @@ def test_analyze_rejects_broken_closure(tmp_path, capsys):
     assert main(["analyze", str(p)]) == 2
     err = capsys.readouterr().err
     assert "(0, 1)" in err and "(1, 0)" in err  # witness pair named
+
+
+def three_coset_doc(n: int) -> dict:
+    """Over Z/2, S = {w : w_0 = w_1 = 0} and the set S ∪ (S + e_1) ∪ (S + e_0):
+    every word is its own inverse and S·T ⊆ T, so only a product of the two
+    cosets escapes, which the quadratic pair scan reached after about 3|S|²
+    products."""
+    S = [(0, 0) + tail for tail in itertools.product((0, 1), repeat=n - 2)]
+    words = [head + s[2:] for s in S for head in ((0, 0), (0, 1), (1, 0))]
+    return {"alphabet": {"kind": "cyclic", "modulus": 2}, "length": n, "group": True,
+            "codewords": [list(w) for w in words]}
+
+
+def test_three_coset_set_is_rejected_in_linear_time(tmp_path, capsys):
+    p = tmp_path / "cosets.json"
+    p.write_text(json.dumps(three_coset_doc(12)), encoding="utf-8")  # 3,072 words
+    start = time.perf_counter()
+    assert main(["analyze", str(p)]) == 2
+    assert time.perf_counter() - start < 3.0
+    assert "escapes the set" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [900, 1100, None], ids=["900", "1100", "byte-limit"])
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys, depth):
+    head, tail = '{"alphabet": ', "}"
+    if depth is None:  # as deep as the byte limit allows
+        depth = (cli.MAX_INPUT_BYTES - len(head) - len(tail)) // 2
+    p = tmp_path / "deep.json"
+    p.write_text(head + "[" * depth + "]" * depth + tail, encoding="utf-8")
+    assert main(["analyze", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if depth > 1000:  # past the interpreter's recursion limit
+        assert err == f"error: {p}: JSON nested too deeply\n"
 
 
 def test_analyze_invalid_json_diagnostic(tmp_path, capsys):
@@ -216,7 +251,7 @@ def test_theorem_violation_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["iso", *paths]) == 0
     capsys.readouterr()
     # a witness the search accepted but the re-check rejects is a program bug
-    monkeypatch.setattr(GroupCodeIso, "verify", lambda self, pair_check=None: False)
+    monkeypatch.setattr(GroupCodeIso, "verify", lambda self: False)
     code = main(["iso", *paths])
     captured = capsys.readouterr()
     assert code == EXIT_INTERNAL == 4

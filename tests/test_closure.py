@@ -15,6 +15,7 @@ from groupcodes.errors import ClosureError
 from groupcodes.groups import element_closure, subgroup_isomorphisms, word_closure
 from groupcodes.isomorphy import code_generating_words
 from groupcodes.serialize import alphabet_from_json
+from oracles import pair_scan_check_subgroup
 
 S3 = alphabet_from_json({"kind": "table", "label": "S3", "table": [
     [0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
@@ -68,24 +69,32 @@ def frontier_generating_words(G, n, words, size=None):
 
 
 def frontier_check_subgroup(G, n, words):
-    """The subgroup test by a from-scratch frontier closure, with the
-    witness search of ``codes._check_subgroup``."""
+    """The subgroup test by from-scratch frontier closures, with the
+    witness rule of ``codes._check_subgroup``: generators picked greedily in
+    word order until the closure outgrows the set, then a missing inverse or
+    the first word × generator product outside the set."""
     ws = frozenset(words)
     e = (G.identity,) * n
     if e not in ws:
         raise ClosureError("group code does not contain the identity word", witness=(e,))
-    # a set of |ws| words containing the closure's generators is the closure
-    # iff it is a subgroup
-    if frontier_closure(G, n, frontier_generating_words(G, n, words, len(ws))) == ws:
+    gens, closure = [], {e}
+    for w in words:
+        if len(closure) > len(ws):
+            break
+        if w not in closure:
+            gens.append(w)
+            closure = frontier_closure(G, n, gens)
+    # the closure holds every word unless it outgrew the set first
+    if closure == ws:
         return
     for x in words:
         if tuple(G.inverse[s] for s in x) not in ws:
             raise ClosureError(f"inverse of {x} missing", witness=(x,))
     for x in words:
-        for y in words:
-            if word_mul(G, x, y) not in ws:
-                raise ClosureError(f"product of {x} and {y} escapes the set", witness=(x, y))
-    raise ClosureError("word set is not closed under the group operations", witness=())
+        for g in gens:
+            if word_mul(G, x, g) not in ws:
+                raise ClosureError(f"product of {x} and {g} escapes the set", witness=(x, g))
+    raise AssertionError("no witness: the set is closed under its generators")
 
 
 @st.composite
@@ -136,13 +145,17 @@ def test_non_subgroup_rejected_with_the_same_witness(case, data):
     if not words:
         return
     outcomes = []
-    for check in (_check_subgroup, frontier_check_subgroup):
+    for check in (_check_subgroup, frontier_check_subgroup, pair_scan_check_subgroup):
         try:
             check(G, n, words)
             outcomes.append(None)
         except ClosureError as err:
             outcomes.append((str(err), err.witness))
     assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (outcomes[2] is None)
+    if outcomes[0] is not None and len(outcomes[0][1]) == 2:
+        x, g = outcomes[0][1]
+        assert x in words and g in words and word_mul(G, x, g) not in words
 
 
 def subgroups(G):

@@ -6,6 +6,7 @@ module binds."""
 from __future__ import annotations
 
 import ast
+import functools
 import itertools
 import json
 import os
@@ -212,13 +213,19 @@ def module_bindings(tree: ast.Module) -> set[str]:
     return bound
 
 
+@functools.cache
+def module_trees() -> tuple[tuple[str, ast.Module], ...]:
+    """Each module of the package, by file name, parsed once."""
+    return tuple((path.name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                 for path in sorted((SRC / "groupcodes").glob("*.py")))
+
+
 def test_every_annotation_name_is_bound_in_its_module():
     # with postponed annotations nothing evaluates a local variable's
     # annotation, so a name missing from the module fails only a reader
     import builtins
     unbound = []
-    for path in sorted((SRC / "groupcodes").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for name, tree in module_trees():
         bound = module_bindings(tree) | set(dir(builtins))
         annotations = []
         for node in ast.walk(tree):
@@ -228,6 +235,13 @@ def test_every_annotation_name_is_bound_in_its_module():
                 annotations.append(node.returns)
             elif isinstance(node, ast.AnnAssign):
                 annotations.append(node.annotation)
-        unbound += [f"{path.name}:{line} {name}" for ann in annotations
-                    for name, line in annotation_names(ann) if name not in bound]
+        unbound += [f"{name}:{line} {used}" for ann in annotations
+                    for used, line in annotation_names(ann) if used not in bound]
     assert unbound == []
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O drops assert statements, and every check must still run
+    found = [f"{name}:{node.lineno}" for name, tree in module_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

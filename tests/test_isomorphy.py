@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import groupcodes as gc
 from groupcodes.catalog import repetition_code
-from groupcodes.errors import IncompatibleError, ResourceLimitError
+from groupcodes.errors import ClosureError, IncompatibleError, ResourceLimitError
 from groupcodes.autgroup import _large_order_generators, _symmetric_generators
-from groupcodes.isomorphy import _IsoSearch
-from oracles import expand_leaf, find_all_leaves, greedy_generators, mul_closure
+from groupcodes.isomorphy import GroupCodeIso, _IsoSearch
+from oracles import (expand_leaf, find_all_leaves, greedy_generators, mul_closure,
+                     pair_product_holds)
+from test_aut_assembly import ALPHABETS as SUM_ALPHABETS, scrambled_sums
 
 
 def brute_force_gc_automorphism_count(C: gc.GroupCode) -> int:
@@ -429,7 +431,36 @@ def test_group_search_matches_isometry_enumeration(data):
     witness = gc.gc_isomorphic(C, D)
     assert (witness is not None) == brute_iso_exists(C, D)
     if witness is not None:
-        assert witness.verify(pair_check=True)
+        assert pair_product_holds(witness)
+
+
+# the alphabets of the scrambled sums over fewer coordinates, so that no
+# code has more than 81 words and the oracle's |C|² product stays small
+VERIFY_ALPHABETS = [(G, {2: 6, 3: 4, 4: 3, 6: 2}[G.order]) for G, _ in SUM_ALPHABETS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_sums(VERIFY_ALPHABETS), st.data())
+def test_verify_matches_the_pair_product(C, data):
+    # C has a constant coordinate for each trivial part, one part in four
+    G, n = C.alphabet, C.length
+    D = gc.GroupCode.from_words(G, n, gc.apply_to_code(data.draw(group_isometries(G, n)), C).words)
+    witness = gc.gc_isomorphic(C, D)
+    assert witness is not None and witness.verify() and pair_product_holds(witness)
+    # a random (σ, maps) candidate: per coordinate an automorphism of G, a
+    # bijection fixing e (mostly no homomorphism) or any bijection, onto
+    # the image of C when that is a group code, else onto D, which it misses
+    bijections = sorted(itertools.permutations(range(G.order)))
+    maps = st.sampled_from([a.mapping for a in gc.automorphisms(G)]) | st.sampled_from(
+        [f for f in bijections if f[G.identity] == G.identity]) | st.sampled_from(bijections)
+    phi = gc.Isometry(gc.Configuration(tuple(data.draw(maps) for _ in range(n))),
+                      gc.Equivalence(tuple(data.draw(st.permutations(range(n))))))
+    try:
+        image = gc.GroupCode.from_words(G, n, gc.apply_to_code(phi, C).words)
+    except ClosureError:
+        image = D
+    candidate = GroupCodeIso(phi, C, data.draw(st.sampled_from([image, D])))
+    assert candidate.verify() == pair_product_holds(candidate)
 
 
 @settings(max_examples=40, deadline=None)

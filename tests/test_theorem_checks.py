@@ -24,7 +24,7 @@ decompose_module = importlib.import_module("groupcodes.decompose")
 def test_gc_isomorphic_rejects_invalid_witness(monkeypatch, code_d, rep3):
     left, right = gc.direct_sum(code_d, rep3), gc.direct_sum(rep3, code_d)
     assert gc.gc_isomorphic(left, right) is not None
-    monkeypatch.setattr(GroupCodeIso, "verify", lambda self, pair_check=None: False)
+    monkeypatch.setattr(GroupCodeIso, "verify", lambda self: False)
     with pytest.raises(TheoremViolationError):
         gc.gc_isomorphic(left, right)
 
@@ -94,7 +94,7 @@ def test_theorem_checks_survive_optimized_mode():
         w = dec.isotype_witnesses[1]
         bad = gc.Isometry(gc.Configuration(((1, 0),) * w.n), w.equiv)  # moves the identity
         broken = dataclasses.replace(dec, isotype_witnesses=(dec.isotype_witnesses[0], bad))
-        GroupCodeIso.verify = lambda self, pair_check=None: False
+        GroupCodeIso.verify = lambda self: False
         importlib.import_module("groupcodes.decompose").apply_to_code = (
             lambda iso, C: gc.Code.from_words(C.alphabet, C.length, [C.identity_word()]))
         importlib.import_module("groupcodes.codes").code_distance = lambda C: C.length
